@@ -1,20 +1,28 @@
-"""E22 — paged storage: O(segments) cold open and paged probe cost.
+"""E22 — durable storage: bulk load, O(segments) cold open, probe cost.
 
-The paged engine (:mod:`repro.storage.paged`) keeps triples in
-immutable mmap'd sorted runs, so a cold open maps files and reads
-footers instead of replaying every triple into dict indexes.  This
-experiment quantifies the tentpole claims of ISSUE 10:
+The paged engine (:mod:`repro.storage.paged`) is the one durable
+engine: it keeps triples in immutable mmap'd sorted runs, so a cold
+open maps files and reads footers instead of rebuilding dict indexes.
+This experiment prices it end to end:
 
-* **Cold open** — bulk-load one million triples into *both* engines,
-  then time a cold open of each.  The paged open must finish within
-  0.3 s and be at least 100x faster than the disk engine's replay
-  (27.5 s in E19's published run).
+* **Bulk load** — stream one million generated triples through
+  :func:`bulk_load_triples` (sorted run + term bank written straight
+  from the interned-id stream, no per-triple WAL) and report
+  sustained triples/second.
+* **Cold open** — time a cold open of the loaded store against the
+  work an O(triples) open has to do: rebuilding the in-memory dict
+  indexes from the same triples.  The paged open must finish within
+  0.3 s and be at least 100x faster than that rebuild.
 * **Probe throughput** — random point lookups and prefix scans
   through the :class:`~repro.storage.paged.PagedProbe` with a block
   cache far smaller than the store, so the numbers include real page
   misses, not a warmed dict.
+* **WAL overhead** — write the same incremental workload at
+  ``fsync=always`` / ``batch`` / ``none`` and compare commit rates, so
+  the durability/throughput trade of each mode is a number.
 * **Query parity** — the planned/naive differential re-run on the
-  paged store; answers must match the disk engine byte for byte.
+  paged store; answers must match an in-memory graph of the same
+  triples byte for byte.
 
 Artefacts land in ``benchmarks/results/E22_paged_storage.txt`` and
 ``BENCH_E22.json``.
@@ -27,10 +35,17 @@ import random
 import time
 
 from benchmarks.conftest import RESULTS_DIR, write_table
-from benchmarks.bench_storage import BULK_TRIPLES, QUERIES, generate_triples, solutions
-from repro.rdf import Graph
-from repro.storage import DiskBackend, PagedBackend, bulk_load_triples
+from repro.rdf import Graph, Literal, URIRef
+from repro.storage import MemoryBackend, PagedBackend, bulk_load_triples
 
+EX = "http://example.org/"
+
+#: The bulk-load corpus (acceptance floor: one million triples).
+BULK_TRIPLES = 1_000_000
+#: Incremental workload per WAL sync mode.
+WAL_TRIPLES = 5_000
+#: fsync cadence of the "batch" mode under test.
+FSYNC_BATCH = 64
 #: Cache budget for the probe-throughput phase: 256 blocks = 1 MiB,
 #: versus ~45 MiB of run sections for the million-triple store.
 PROBE_CACHE_BLOCKS = 256
@@ -42,57 +57,85 @@ PREFIX_SCANS = 2_000
 MAX_COLD_OPEN_SECONDS = 0.3
 MIN_SPEEDUP = 100.0
 
+QUERIES = [
+    f"""SELECT ?s ?x ?y WHERE {{
+        ?s <{EX}p0> ?x .
+        ?s <{EX}p1> ?y .
+    }}""",
+    f"""SELECT ?s ?v WHERE {{
+        ?s <{EX}p2> ?v .
+        FILTER (?v > 500)
+    }}""",
+]
+
+
+def generate_triples(n: int):
+    """A skewed synthetic corpus: 16 predicates, Zipf-ish subjects."""
+    subjects = [URIRef(f"{EX}s{i}") for i in range(n // 10 or 1)]
+    predicates = [URIRef(f"{EX}p{i}") for i in range(16)]
+    for i in range(n):
+        # The object is unique per i: every generated triple is
+        # distinct (the store is a set; duplicates would not count).
+        yield (
+            subjects[(i * i) % len(subjects)],
+            predicates[i % 16],
+            Literal(i),
+        )
+
+
+def solutions(result):
+    return sorted(
+        tuple(sorted((str(v), value.n3()) for v, value in row.items()))
+        for row in result.rows
+    )
+
+
+def rebuild_dict_indexes(triples) -> MemoryBackend:
+    """The O(triples) open: intern every term, rebuild SPO/POS/OSP."""
+    backend = MemoryBackend()
+    intern = backend.intern
+    backend.insert_batch(
+        (intern(s), intern(p), intern(o)) for s, p, o in triples
+    )
+    return backend
+
 
 def test_paged_storage_costs(tmp_path_factory, bench_seed):
     base = tmp_path_factory.mktemp("e22")
     lines = []
-    report = {"bulk": {}, "cold_open": {}, "probe": {}, "parity": {}}
+    report = {"bulk": {}, "cold_open": {}, "probe": {}, "wal": {}, "parity": {}}
 
-    # -- bulk load into both engines --------------------------------------
+    # -- bulk load ----------------------------------------------------------
     paged_dir = str(base / "paged")
-    disk_dir = str(base / "disk")
-    paged_bulk = bulk_load_triples(
-        generate_triples(BULK_TRIPLES), paged_dir, engine="paged"
-    )
-    disk_bulk = bulk_load_triples(
-        generate_triples(BULK_TRIPLES), disk_dir, engine="disk"
-    )
+    bulk = bulk_load_triples(generate_triples(BULK_TRIPLES), paged_dir)
     report["bulk"] = {
-        "triples": paged_bulk["triples_loaded"],
-        "paged_seconds": round(paged_bulk["seconds"], 2),
-        "paged_triples_per_second": int(paged_bulk["triples_per_second"]),
-        "disk_seconds": round(disk_bulk["seconds"], 2),
-        "disk_triples_per_second": int(disk_bulk["triples_per_second"]),
-        "paged_segment_mib": round(paged_bulk["segment_bytes"] / 2**20, 1),
+        "triples": bulk["triples_loaded"],
+        "seconds": round(bulk["seconds"], 2),
+        "triples_per_second": int(bulk["triples_per_second"]),
+        "segment_mib": round(bulk["segment_bytes"] / 2**20, 1),
     }
     lines.append(
-        f"bulk load (paged): {paged_bulk['triples_loaded']:,} triples in "
-        f"{paged_bulk['seconds']:.2f}s = "
-        f"{paged_bulk['triples_per_second']:,.0f} triples/s "
-        f"({report['bulk']['paged_segment_mib']} MiB of runs)"
-    )
-    lines.append(
-        f"bulk load (disk):  {disk_bulk['triples_loaded']:,} triples in "
-        f"{disk_bulk['seconds']:.2f}s = "
-        f"{disk_bulk['triples_per_second']:,.0f} triples/s"
+        f"bulk load: {bulk['triples_loaded']:,} triples in "
+        f"{bulk['seconds']:.2f}s = "
+        f"{bulk['triples_per_second']:,.0f} triples/s "
+        f"({report['bulk']['segment_mib']} MiB of runs)"
     )
 
-    # -- cold open: O(segments) vs O(triples) ------------------------------
+    # -- cold open: O(segments) vs an O(triples) index rebuild ------------
     started = time.perf_counter()
     paged = PagedBackend(paged_dir, sync="none")
     paged_open_seconds = time.perf_counter() - started
     assert paged.size == BULK_TRIPLES
 
     started = time.perf_counter()
-    disk = DiskBackend(disk_dir, sync="none")
-    disk_open_seconds = time.perf_counter() - started
-    assert disk.size == BULK_TRIPLES
-    disk.close()
+    oracle = rebuild_dict_indexes(generate_triples(BULK_TRIPLES))
+    rebuild_seconds = time.perf_counter() - started
+    assert oracle.size == BULK_TRIPLES
 
-    speedup = disk_open_seconds / paged_open_seconds
+    speedup = rebuild_seconds / paged_open_seconds
     report["cold_open"] = {
         "paged_seconds": round(paged_open_seconds, 4),
-        "disk_seconds": round(disk_open_seconds, 2),
+        "rebuild_seconds": round(rebuild_seconds, 2),
         "speedup": round(speedup, 1),
         "max_seconds": MAX_COLD_OPEN_SECONDS,
     }
@@ -101,8 +144,8 @@ def test_paged_storage_costs(tmp_path_factory, bench_seed):
         f"{paged_open_seconds * 1000:.1f}ms (mmap + footers)"
     )
     lines.append(
-        f"cold open (disk):  {BULK_TRIPLES:,} triples in "
-        f"{disk_open_seconds:.2f}s (full segment replay)"
+        f"dict index rebuild: {BULK_TRIPLES:,} triples in "
+        f"{rebuild_seconds:.2f}s (what an O(triples) open does)"
     )
     lines.append(f"cold-open speedup: {speedup:,.0f}x (floor {MIN_SPEEDUP:.0f}x)")
 
@@ -169,26 +212,60 @@ def test_paged_storage_costs(tmp_path_factory, bench_seed):
     assert cache["evictions"] > 0, "the cache must be smaller than the store"
     assert n_terms > 0
 
-    # -- query parity against the disk engine ------------------------------
+    # -- query parity against an in-memory graph of the same triples ----
     paged_graph = Graph(backend=paged)
-    disk_graph = Graph(backend=DiskBackend(disk_dir, sync="none"))
+    memory_graph = Graph(backend=oracle)
     parity_ok = True
     for query in QUERIES:
         planned = solutions(paged_graph.query(query))
         naive = solutions(paged_graph.query(query, use_planner=False))
-        reference = solutions(disk_graph.query(query))
+        reference = solutions(memory_graph.query(query))
         parity_ok = parity_ok and planned == naive == reference
     report["parity"] = {"queries": len(QUERIES), "ok": parity_ok}
     lines.append(
-        f"query parity (planned vs naive vs disk engine): "
+        f"query parity (planned vs naive vs memory graph): "
         f"{'ok' if parity_ok else 'FAILED'} over {len(QUERIES)} queries"
     )
-    disk_graph.close()
     paged_graph.close()
+    del memory_graph, oracle
+
+    # -- WAL overhead per sync mode ----------------------------------------
+    workload = list(generate_triples(WAL_TRIPLES))
+    for mode in ("none", "batch", "always"):
+        incremental = Graph(
+            backend=PagedBackend(
+                str(base / f"wal-{mode}"), sync=mode, fsync_batch=FSYNC_BATCH
+            )
+        )
+        started = time.perf_counter()
+        for triple in workload:
+            incremental.add(*triple)
+        elapsed = time.perf_counter() - started
+        fsyncs = incremental.backend._wal.fsyncs
+        incremental.close()
+        rate = WAL_TRIPLES / elapsed
+        report["wal"][mode] = {
+            "seconds": round(elapsed, 3),
+            "triples_per_second": int(rate),
+            "fsyncs": fsyncs,
+        }
+        label = f"fsync={mode}" + (
+            f" (every {FSYNC_BATCH})" if mode == "batch" else ""
+        )
+        lines.append(
+            f"incremental {label}: {WAL_TRIPLES:,} commits in "
+            f"{elapsed:.3f}s = {rate:,.0f} triples/s, {fsyncs} fsyncs"
+        )
+    none_rate = report["wal"]["none"]["triples_per_second"]
+    always_rate = report["wal"]["always"]["triples_per_second"]
+    lines.append(
+        f"durability cost: fsync=always runs at "
+        f"{always_rate / none_rate:.1%} of fsync=none throughput"
+    )
 
     write_table(
         "E22_paged_storage",
-        "E22 — paged storage: cold open, starved-cache probes, parity",
+        "E22 — durable storage: bulk load, cold open, probes, WAL sync modes",
         lines,
         seed=bench_seed,
     )
@@ -196,6 +273,9 @@ def test_paged_storage_costs(tmp_path_factory, bench_seed):
         json.dumps(report, indent=2, sort_keys=True) + "\n"
     )
 
+    assert bulk["triples_loaded"] == BULK_TRIPLES
     assert parity_ok
+    assert report["wal"]["always"]["fsyncs"] >= WAL_TRIPLES
+    assert report["wal"]["none"]["fsyncs"] == 0
     assert paged_open_seconds <= MAX_COLD_OPEN_SECONDS
     assert speedup >= MIN_SPEEDUP

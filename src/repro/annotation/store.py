@@ -122,10 +122,9 @@ class AnnotationStore:
             # re-served without re-annotation.  The store's open
             # generation replaces the process-local instance counter in
             # evidence-node ids, so nodes minted before and after a
-            # restart can never collide.  The engine (disk or paged) is
-            # detected from the directory's manifest; a fresh directory
-            # follows REPRO_STORAGE_BACKEND (``repro.storage.
-            # default_engine``), so the paged CI tier covers this path.
+            # restart can never collide.  The store is a paged store
+            # (``repro.storage.open_backend``); a directory left by the
+            # retired disk engine is refused, never overwritten.
             from repro.storage import open_backend
 
             backend = open_backend(directory, sync=sync)

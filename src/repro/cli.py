@@ -38,7 +38,7 @@ Commands:
   ``/healthz``.  ``--register-example`` pre-registers the Sec. 5.1
   example view; ``--store-dir PATH`` makes the deployment durable —
   registered views and persistent annotation repositories live in
-  disk-backed stores under PATH and are re-served after restart
+  paged stores under PATH and are re-served after restart
   without re-registration; Ctrl-C shuts down cleanly.
 * ``stream [--events FILE] [--cursor-dir PATH]`` — run the streaming
   quality-view engine over a delta feed: each record is absorbed
@@ -53,13 +53,15 @@ Commands:
   record, so a killed-and-restarted stream resumes where it stopped
   without reprocessing or duplicate drift events; ``--verify`` checks
   every incremental result byte-equal against a full recompute.
-* ``store load|info|compact|snapshot`` — manage durable triple
-  stores: ``load`` streams an N-Triples file into a fresh store
+* ``store load|info|compact|snapshot|verify`` — manage durable
+  (paged) triple stores: ``load`` streams an N-Triples file into a fresh store
   through the bulk loader (no per-triple WAL traffic, reports
   triples/sec), ``info`` prints a store's manifest/recovery summary
   (plus any stream cursor files checkpointing into the directory),
-  ``compact`` folds segments + WAL into one fresh segment, and
-  ``snapshot`` writes a consistent copy to a new directory.
+  ``compact`` folds every run + the WAL into one fresh run,
+  ``snapshot`` writes a consistent copy to a new directory, and
+  ``verify`` re-checksums a store offline.  A store written by the
+  retired disk engine is refused with a machine-readable error.
 * ``query <sparql> [--data FILE] [--explain]`` — run a SPARQL query
   over an RDF file (or a synthetic annotation store) through the
   planned execution path; ``--explain`` prints the chosen join order,
@@ -350,21 +352,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     store_load.add_argument("file", help="source N-Triples file")
     store_load.add_argument("directory", help="store directory to create")
-    store_load.add_argument(
-        "--batch-size", type=int, default=50_000, metavar="N",
-        help="triples buffered per index batch",
-    )
-    store_load.add_argument(
-        "--backend", choices=("disk", "paged"), default=None,
-        help="store engine to build (default: disk, or paged when "
-             "REPRO_STORAGE_BACKEND selects a paged backend)",
-    )
     store_info = store_commands.add_parser(
         "info", help="print a store's manifest and recovery summary"
     )
     store_info.add_argument("directory", help="store directory")
     store_compact = store_commands.add_parser(
-        "compact", help="fold segments + WAL into one fresh segment"
+        "compact", help="fold every run + the WAL into one fresh run"
     )
     store_compact.add_argument("directory", help="store directory")
     store_snapshot = store_commands.add_parser(
@@ -374,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
     store_snapshot.add_argument("destination", help="directory to create")
     store_verify = store_commands.add_parser(
         "verify",
-        help="re-checksum all segments and the WAL tail offline "
+        help="re-checksum all runs, term banks and the WAL offline "
              "(exits non-zero on the first mismatch)",
     )
     store_verify.add_argument("directory", help="store directory")
@@ -929,20 +922,12 @@ def _cmd_store(args) -> int:
 
     try:
         if args.store_command == "load":
-            if args.batch_size < 1:
-                print(f"error: --batch-size must be >= 1, got "
-                      f"{args.batch_size}", file=sys.stderr)
-                return 2
-            summary = bulk_load_ntriples(
-                args.file, args.directory, batch_size=args.batch_size,
-                engine=args.backend,
-            )
+            summary = bulk_load_ntriples(args.file, args.directory)
             print(f"loaded {summary['triples_loaded']} triples "
                   f"({summary['terms']} terms) into {summary['directory']} "
-                  f"({summary['engine']} engine) "
                   f"in {summary['seconds']:.2f}s "
                   f"({summary['triples_per_second']:,.0f} triples/sec, "
-                  f"segment {summary['segment_bytes']:,} bytes)")
+                  f"run {summary['segment_bytes']:,} bytes)")
             return 0
         if args.store_command == "verify":
             from repro.storage.verify import verify_store

@@ -11,17 +11,16 @@ keeping the store swappable as the paper requires.
 
 Since PR 7 the state itself lives in a *storage backend*
 (:mod:`repro.storage`): :class:`~repro.storage.backend.MemoryBackend`
-holds exactly the structures this module used to keep inline,
-:class:`~repro.storage.disk.DiskBackend` adds a write-ahead log and
-snapshot segments so a store survives restart, and
-:class:`~repro.storage.paged.PagedBackend` keeps the indices in
-memory-mapped sorted runs so the store can outgrow the heap.  Every
+holds exactly the structures this module used to keep inline, and
+the durable :class:`~repro.storage.paged.PagedBackend` adds a
+write-ahead log and keeps the indices in memory-mapped sorted runs, so
+a store survives restart and can outgrow the heap.  Every
 *read* goes through the backend's :class:`~repro.storage.probe
 .IndexProbe` (``self._probe``) — point membership, pattern scans,
 cardinality estimates — so the graph and the SPARQL planner
 (``repro.rdf.sparql.plan``) never touch index internals; the term
 dictionary (``_term_ids``/``_term_list``) stays aliased because every
-backend exposes it mapping-shaped (paged backends lazily).
+backend exposes it mapping-shaped (a reopened paged store lazily).
 ``REPRO_STORAGE_BACKEND`` selects what a bare ``Graph()`` runs on
 (see ``repro.storage``).
 

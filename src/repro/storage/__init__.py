@@ -5,29 +5,29 @@ front end (:class:`repro.rdf.graph.Graph`, unchanged API) and a
 *storage backend* owning the term dictionary, the SPO/POS/OSP indices
 and the per-predicate statistics:
 
-* :class:`MemoryBackend` — the in-memory structures, verbatim;
-* :class:`DiskBackend` — the same structures plus a write-ahead log
-  with group-commit fsync batching, snapshot segments, crash-recovery
-  replay, compaction and snapshot/restore (:mod:`repro.storage.disk`);
-* :class:`PagedBackend` — immutable mmap'd sorted-run segments with a
-  block cache, LSM-style size-tiered compaction and the WAL as the
-  mutable L0, answering index probes from the files instead of RAM
-  (:mod:`repro.storage.paged`, :mod:`repro.storage.pages`);
+* :class:`MemoryBackend` — the in-memory structures, verbatim; the
+  per-execution cache and every transient graph run on it;
+* :class:`PagedBackend` — the one durable engine: immutable mmap'd
+  sorted runs with a block cache, LSM-style size-tiered compaction and
+  a CRC-framed write-ahead log as the mutable L0, answering index
+  probes from the files instead of RAM (:mod:`repro.storage.paged`,
+  :mod:`repro.storage.pages`, :mod:`repro.storage.wal`);
 * :func:`bulk_load_ntriples` — a streaming loader that builds a store
   directory without per-triple WAL traffic (:mod:`repro.storage.bulk`).
 
 ``REPRO_STORAGE_BACKEND`` selects what a plain ``Graph()`` runs on:
 
 * ``memory`` (default) — :class:`MemoryBackend`;
-* ``disk-scratch`` / ``paged-scratch`` — a :class:`DiskBackend` /
-  :class:`PagedBackend` in a per-process scratch directory with
-  ``sync="none"``, removed at interpreter exit.  CI uses these to run
-  the whole rdf/sparql/annotation/stream test tier against the durable
-  backends without touching a single test.
+* ``paged-scratch`` — a :class:`PagedBackend` in a per-process scratch
+  directory with ``sync="none"``, removed at interpreter exit.  CI
+  uses it to run the whole rdf/sparql/annotation/stream test tier
+  against the durable engine without touching a single test.
 
-Store directories are self-describing: the manifest's ``format`` (1 =
-disk, 2 = paged) tells :func:`open_store` and every CLI subcommand
-which engine to use, so consumers never hard-code one.
+Every store directory is a paged store (manifest ``format`` 2).  A
+directory written by the retired disk engine (``format`` 1) is refused
+with :class:`SnapshotMismatch` by :func:`open_backend`,
+:func:`detect_engine` and every CLI subcommand; such a store must be
+re-created.
 """
 
 from __future__ import annotations
@@ -49,16 +49,14 @@ from repro.storage.backend import (
 )
 from repro.storage.bulk import bulk_load_ntriples, bulk_load_triples
 from repro.storage.cursors import CURSOR_SUFFIX, CursorFile, cursor_files
-from repro.storage.disk import DiskBackend
 from repro.storage.errors import SnapshotMismatch, StorageError, WALCorruption
-from repro.storage.paged import PagedBackend
+from repro.storage.paged import MANIFEST_NAME, PagedBackend, read_manifest
 from repro.storage.probe import DictIndexProbe, IndexProbe
 from repro.storage.wal import SYNC_MODES, WALWriter
 
 __all__ = [
     "StorageBackend",
     "MemoryBackend",
-    "DiskBackend",
     "PagedBackend",
     "IndexProbe",
     "DictIndexProbe",
@@ -77,16 +75,11 @@ __all__ = [
     "CURSOR_SUFFIX",
     "backend_from_env",
     "detect_engine",
-    "default_engine",
     "open_backend",
     "open_store",
     "scratch_directory",
     "BACKEND_ENV_VAR",
-    "STORE_ENGINES",
 ]
-
-#: Durable store engines a directory can hold (manifest ``format``).
-STORE_ENGINES = ("disk", "paged")
 
 #: Environment variable selecting the default ``Graph()`` backend.
 BACKEND_ENV_VAR = "REPRO_STORAGE_BACKEND"
@@ -122,101 +115,40 @@ def scratch_directory() -> str:
 def backend_from_env() -> StorageBackend:
     """The backend a bare ``Graph()`` should run on (env-selected)."""
     mode = os.environ.get(BACKEND_ENV_VAR, "memory").strip() or "memory"
-    if mode == "memory" or mode in STORE_ENGINES:
-        # A bare engine name ('disk', 'paged') steers *new durable
-        # stores* via default_engine(); transient graphs stay in RAM.
+    if mode == "memory":
         return MemoryBackend()
-    if mode == "disk-scratch":
-        return DiskBackend(scratch_directory(), sync="none")
     if mode == "paged-scratch":
         return PagedBackend(scratch_directory(), sync="none")
     raise StorageError(
         f"{BACKEND_ENV_VAR}={mode!r} is not a known backend "
-        "(expected 'memory', 'disk', 'paged', 'disk-scratch' or "
-        "'paged-scratch')"
+        "(expected 'memory' or 'paged-scratch')"
     )
-
-
-def default_engine() -> str:
-    """The engine a *new* store directory should use.
-
-    Follows ``REPRO_STORAGE_BACKEND`` so the ``paged-scratch`` CI tier
-    exercises the paged engine in every consumer that creates stores
-    (annotations, serving); plain environments keep creating disk
-    stores.
-    """
-    mode = os.environ.get(BACKEND_ENV_VAR, "").strip()
-    return "paged" if mode.startswith("paged") else "disk"
 
 
 def detect_engine(directory: str) -> Optional[str]:
     """The engine of an existing store directory, or ``None`` if empty.
 
-    Reads only the manifest's ``format`` field: 1 is the disk engine,
-    2 the paged engine.  An unreadable or unknown manifest raises
-    :class:`SnapshotMismatch` — opening it could only fail later with
-    a worse message.
+    Reads only the manifest.  A readable paged manifest answers
+    ``"paged"``; a store written by the retired disk engine, or an
+    unreadable or unknown manifest, raises :class:`SnapshotMismatch` —
+    opening it could only fail later with a worse message.
     """
-    import json
-
-    from repro.storage.disk import MANIFEST_NAME
-
     path = os.path.join(directory, MANIFEST_NAME)
     if not os.path.exists(path):
         return None
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            manifest = json.load(handle)
-    except (OSError, ValueError) as exc:
-        raise SnapshotMismatch(
-            f"unreadable manifest {path}: {exc}", directory=str(directory)
-        ) from exc
-    version = manifest.get("format")
-    if version == 1:
-        return "disk"
-    if version == 2:
-        return "paged"
-    raise SnapshotMismatch(
-        f"manifest {path} has unknown format {version!r}",
-        directory=str(directory),
-    )
+    read_manifest(path, directory)
+    return "paged"
 
 
 def open_backend(
     directory: str,
     *,
-    engine: Optional[str] = None,
     sync: str = "batch",
     fsync_batch: int = 64,
     create: bool = True,
 ) -> StorageBackend:
-    """Open (or create) a durable backend, auto-detecting the engine.
-
-    An existing directory dictates its own engine from the manifest;
-    ``engine`` (or, failing that, :func:`default_engine`) only decides
-    what a *new* store becomes.  Passing an ``engine`` that contradicts
-    an existing store raises :class:`StorageError` rather than
-    silently opening it as something else.
-    """
-    existing = detect_engine(directory)
-    if existing is not None:
-        if engine is not None and engine != existing:
-            raise StorageError(
-                f"store at {directory} uses the {existing!r} engine; "
-                f"cannot open it as {engine!r}",
-                directory=str(directory),
-            )
-        engine = existing
-    elif engine is None:
-        engine = default_engine()
-    if engine not in STORE_ENGINES:
-        raise StorageError(
-            f"unknown store engine {engine!r} "
-            f"(expected one of {STORE_ENGINES})",
-            directory=str(directory),
-        )
-    cls = PagedBackend if engine == "paged" else DiskBackend
-    return cls(
+    """Open (or create) the durable backend of one store directory."""
+    return PagedBackend(
         directory, sync=sync, fsync_batch=fsync_batch, create=create
     )
 
@@ -224,7 +156,6 @@ def open_backend(
 def open_store(
     directory: str,
     *,
-    engine: Optional[str] = None,
     sync: str = "batch",
     fsync_batch: int = 64,
     create: bool = True,
@@ -234,10 +165,6 @@ def open_store(
 
     return Graph(
         backend=open_backend(
-            directory,
-            engine=engine,
-            sync=sync,
-            fsync_batch=fsync_batch,
-            create=create,
+            directory, sync=sync, fsync_batch=fsync_batch, create=create
         )
     )

@@ -16,9 +16,10 @@ per-graph lock; a backend used directly (the bulk loader) is
 single-threaded by construction.
 
 Two implementations ship: :class:`MemoryBackend` (this module) — the
-PR 4 structures verbatim — and :class:`repro.storage.disk.DiskBackend`,
-which layers an append-only write-ahead log and segment snapshots on
-the same in-memory indices so a store survives restart.
+PR 4 structures verbatim — and the durable
+:class:`repro.storage.paged.PagedBackend`, which keeps only a write
+overlay in these dicts and the rest of the store in immutable sorted
+runs behind a write-ahead log.
 """
 
 from __future__ import annotations
@@ -75,12 +76,12 @@ class StorageBackend:
     """
 
     #: Discriminator used in ``describe()`` and the CLI
-    #: (``memory``/``disk``/``paged``).
+    #: (``memory``/``paged``).
     kind = "memory"
     #: True when the backend outlives the process.
     durable = False
     #: True when ``spo``/``pos``/``osp`` hold the *complete* index set
-    #: as nested dicts (memory, disk).  Paged backends keep only a
+    #: as nested dicts (memory).  Paged backends keep only a
     #: write overlay there and set this False; generic consumers
     #: (``copy_state``) must then go through the probe protocol.
     dict_indexed = True

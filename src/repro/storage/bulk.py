@@ -1,18 +1,18 @@
 """Streaming bulk loader: N-Triples file -> fresh store directory.
 
 Loading a large dataset through the WAL would write every triple twice
-(once to the log, once again at the next compaction) and pay a framing
+(once to the log, once again at the next checkpoint) and pay a framing
 record per triple.  The bulk loader skips the WAL entirely: it streams
-the source file through the N-Triples parser, builds the in-memory
-indices with the merged-stats batch path, then writes the store files
-directly — one snapshot segment for the disk engine, or one sorted
-run plus one term bank for the paged engine (``engine="paged"``) —
-plus a fresh manifest and an empty WAL.  The resulting directory is a
-complete store; opening it replays nothing, and for the paged engine
-the open is O(segments) regardless of triple count.
+the source file through the N-Triples parser, interns every term into a
+set of encoded id triples (which deduplicates), takes the exact
+per-predicate statistics from that set, and writes one sorted run plus
+one term bank straight from it — no SPO/POS/OSP dict index is built —
+plus a fresh manifest and an empty WAL.  The resulting directory is a complete
+paged store; opening it replays nothing and is O(segments) regardless
+of triple count.
 
-Benchmark E19 (``benchmarks/bench_storage.py``) reports the loader's
-triples/second against the per-triple WAL path.
+Benchmark E22 (``benchmarks/bench_paged_storage.py``) reports the
+loader's triples/second.
 """
 
 from __future__ import annotations
@@ -21,17 +21,22 @@ import json
 import os
 import pathlib
 import time
-from typing import Any, Dict, Iterable, Optional
+from collections import Counter
+from operator import itemgetter
+from typing import Any, Dict, Iterable, List, Set
 
 from repro.observability import get_registry
 from repro.rdf.serializer import parse_ntriples_lines
+from repro.rdf.term import Node
 from repro.rdf.triple import Triple
-from repro.storage import disk as disk_module
-from repro.storage.backend import MemoryBackend
+from repro.storage.backend import EncodedTriple, PredicateStats
 from repro.storage.errors import StorageError
+from repro.storage.paged import MANIFEST_NAME, build_paged_store
 
-#: Encoded triples buffered between ``insert_batch`` calls.
-DEFAULT_BATCH_SIZE = 50_000
+_FIRST = itemgetter(0)
+_PREDICATE = itemgetter(1)
+_SUBJECT_PREDICATE = itemgetter(0, 1)
+_PREDICATE_OBJECT = itemgetter(1, 2)
 
 _BULK_SECONDS_BUCKETS = (0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
                          60.0, 120.0, 300.0, 600.0)
@@ -40,66 +45,56 @@ _BULK_SECONDS_BUCKETS = (0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
 def bulk_load_triples(
     triples: Iterable[Triple],
     directory: str,
-    *,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    engine: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Build a fresh store at ``directory`` from an iterable of triples.
 
-    The destination must not already hold a store.  ``engine`` picks
-    the store layout (``disk``/``paged``; defaults to the environment
-    via :func:`repro.storage.default_engine`).  Returns a summary dict
-    (triples read/loaded, terms, elapsed seconds, triples/sec, segment
-    bytes).
+    The destination must not already hold a store.  Returns a summary
+    dict (triples read/loaded, terms, elapsed seconds, triples/sec,
+    run bytes).
     """
-    from repro import storage as storage_package
-
-    if engine is None:
-        engine = storage_package.default_engine()
-    if engine not in storage_package.STORE_ENGINES:
-        raise StorageError(
-            f"unknown store engine {engine!r} "
-            f"(expected one of {storage_package.STORE_ENGINES})",
-            directory=str(directory),
-        )
     dest = pathlib.Path(directory)
-    if (dest / disk_module.MANIFEST_NAME).exists():
+    if (dest / MANIFEST_NAME).exists():
         raise StorageError(
             f"bulk load destination {dest} already holds a store",
             directory=str(dest),
         )
     dest.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    backend = MemoryBackend()
-    intern = backend.intern
-    batch = []
+    term_ids: Dict[Node, int] = {}
+    terms: List[Node] = []
+    find = term_ids.get
+    encoded: Set[EncodedTriple] = set()
     read = 0
-    loaded = 0
-    for triple in triples:
+    for subject, predicate, obj in triples:
         read += 1
-        subject, predicate, obj = triple
-        batch.append((intern(subject), intern(predicate), intern(obj)))
-        if len(batch) >= batch_size:
-            loaded += backend.insert_batch(batch)
-            batch.clear()
-    if batch:
-        loaded += backend.insert_batch(batch)
-    if engine == "paged":
-        from repro.storage.paged import build_paged_store
-
-        manifest = build_paged_store(dest, backend)
-        entry = manifest["runs"][0]
-    else:
-        entry = disk_module.write_segment(dest / "seg-000001.seg", backend)
-        manifest = disk_module._fresh_manifest()
-        manifest["segments"] = [entry]
-        manifest["next_segment"] = 2
-        (dest / disk_module.WAL_NAME).touch()
-    tmp = dest / (disk_module.MANIFEST_NAME + ".tmp")
+        sid = find(subject)
+        if sid is None:
+            sid = term_ids[subject] = len(terms)
+            terms.append(subject)
+        pid = find(predicate)
+        if pid is None:
+            pid = term_ids[predicate] = len(terms)
+            terms.append(predicate)
+        oid = find(obj)
+        if oid is None:
+            oid = term_ids[obj] = len(terms)
+            terms.append(obj)
+        encoded.add((sid, pid, oid))
+    # Exact per-predicate statistics from the deduplicated id set.
+    per_predicate = Counter(map(_PREDICATE, encoded))
+    subjects = Counter(map(_PREDICATE, set(map(_SUBJECT_PREDICATE, encoded))))
+    objects = Counter(map(_FIRST, set(map(_PREDICATE_OBJECT, encoded))))
+    pred_stats = {
+        pid: PredicateStats(count, subjects[pid], objects[pid])
+        for pid, count in per_predicate.items()
+    }
+    manifest = build_paged_store(dest, terms, encoded, pred_stats)
+    entry = manifest["runs"][0]
+    tmp = dest / (MANIFEST_NAME + ".tmp")
     tmp.write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8"
     )
-    os.replace(tmp, dest / disk_module.MANIFEST_NAME)
+    os.replace(tmp, dest / MANIFEST_NAME)
     elapsed = time.perf_counter() - started
     registry = get_registry()
     registry.counter(
@@ -113,10 +108,10 @@ def bulk_load_triples(
     ).observe(elapsed)
     return {
         "directory": str(dest),
-        "engine": engine,
+        "engine": "paged",
         "triples_read": read,
-        "triples_loaded": loaded,
-        "terms": len(backend.term_list),
+        "triples_loaded": len(encoded),
+        "terms": len(terms),
         "seconds": elapsed,
         "triples_per_second": (read / elapsed) if elapsed > 0 else 0.0,
         "segment_bytes": entry["bytes"],
@@ -126,9 +121,6 @@ def bulk_load_triples(
 def bulk_load_ntriples(
     source: str,
     directory: str,
-    *,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    engine: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Stream an N-Triples file into a fresh store at ``directory``."""
     source_path = pathlib.Path(source)
@@ -136,8 +128,6 @@ def bulk_load_ntriples(
         summary = bulk_load_triples(
             parse_ntriples_lines(line.rstrip("\n") for line in handle),
             directory,
-            batch_size=batch_size,
-            engine=engine,
         )
     summary["source"] = str(source_path)
     return summary

@@ -9,7 +9,7 @@ CRC32 over the canonical payload so a torn write is detected and
 treated as "no cursor" rather than a crash.
 
 Cursor files (``stream-<name>.cursor``) deliberately live *alongside*
-store artefacts: :class:`repro.storage.disk.DiskBackend` is
+store artefacts: :class:`repro.storage.paged.PagedBackend` is
 manifest-driven and ignores unknown files, and ``repro store info``
 lists them so operators see which streams checkpoint into a store
 directory.

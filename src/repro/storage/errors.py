@@ -67,9 +67,10 @@ class WALCorruption(StorageError):
 class SnapshotMismatch(StorageError):
     """A segment or manifest disagrees with what it claims to hold.
 
-    Raised when the manifest references a missing segment, a segment's
-    framing is damaged, or its footer counts / persisted predicate
-    statistics diverge from what loading actually produced.
+    Raised when the manifest is unreadable or of a format this version
+    does not read (including the retired disk engine's), or when a run
+    or term bank file is malformed or its checksums disagree with its
+    bytes.
     """
 
     code = "snapshot_mismatch"

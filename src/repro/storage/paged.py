@@ -1,36 +1,39 @@
-"""``PagedBackend``: LSM runs + WAL L0, probes over mmap'd pages.
+"""``PagedBackend``: the durable engine — LSM runs + WAL L0 over mmap.
 
-Where :class:`~repro.storage.disk.DiskBackend` rebuilds the full
-nested-dict indices in RAM on every open (O(triples)), the paged
-backend keeps its indices *in the files*:
+A store directory keeps its indices *in the files*, so opening one
+never rebuilds an index in RAM:
 
 * **Immutable sorted runs** (:mod:`repro.storage.pages`) hold the bulk
   of the store in all three permutation orders, organised in LSM-style
   levels — level 0 runs are freshly checkpointed write batches, higher
   levels are the outputs of size-tiered compaction (older data, so
   every run at level *L+1* is older than every run at level *L*).
-* **The PR 7 WAL is the mutable L0**: mutations land in a small
-  in-memory overlay (adds in the inherited ``spo``/``pos``/``osp``
-  dicts, deletes in a tombstone set) and append to the WAL;
-  ``checkpoint()`` folds the overlay into a new level-0 run + term
-  bank, swaps the manifest atomically, and resets the WAL.  Replaying
-  a WAL that survived a crash *after* the manifest swap is a no-op by
-  construction (duplicate adds dedup, absent deletes skip).
+* **The write-ahead log is the mutable L0** (:mod:`repro.storage.wal`):
+  mutations land in a small in-memory overlay (adds in the inherited
+  ``spo``/``pos``/``osp`` dicts, deletes in a tombstone set) and
+  append to the WAL; ``checkpoint()`` folds the overlay into a new
+  level-0 run + term bank, swaps the manifest atomically, and resets
+  the WAL.  Replaying a WAL that survived a crash *after* the manifest
+  swap is a no-op by construction (duplicate adds dedup, absent
+  deletes skip).  A torn WAL tail is truncated on open; interior
+  corruption raises :class:`~repro.storage.errors.WALCorruption`.
 * **Cold open is O(segments)**: read the manifest, mmap each run and
   term bank, read their footers — never a triple.  The exact
   per-predicate statistics and the triple count are persisted in the
   manifest at every checkpoint and adjusted forward by WAL replay.
 * **Reads** go through :class:`PagedProbe` — the
-  :class:`~repro.storage.probe.IndexProbe` protocol over a newest-wins
-  merge of the overlay and every run, with tombstones masking older
-  adds.  Run pages are fetched through the store's LRU
-  :class:`~repro.storage.pages.BlockCache`
-  (``repro_storage_page_*`` metrics), so the working set — not the
-  store — has to fit in memory.
+  :class:`~repro.storage.probe.IndexProbe` protocol over the overlay
+  chained with a newest-wins merge of every run, tombstones masking
+  older adds.  With no runs the probe is the overlay's dict scan
+  itself.  Run pages are fetched through the store's LRU
+  :class:`~repro.storage.pages.BlockCache` (``repro_storage_page_*``
+  metrics), so the working set — not the store — has to fit in memory.
 
-The term dictionary is equally lazy: ids resolve against mmap'd term
-banks on first use (:class:`_LazyTermList` / :class:`_LazyTermIds`),
-with only terms interned since the last checkpoint held in RAM.
+The term dictionary is equally lazy where it has to be: a store opened
+over term banks resolves banked ids on first use
+(:class:`_LazyTermIds` / :class:`_LazyTermList`); every term interned
+by the running process stays in RAM, and a store opened without banks
+keeps the plain dict and list of the memory backend.
 
 Compaction is incremental and off the write path: each checkpoint
 performs at most one size-tiered merge step (``tier_fanout`` runs of
@@ -42,12 +45,15 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import itertools
 import json
 import os
 import pathlib
 import time
 import uuid
 import weakref
+from collections import OrderedDict
+from operator import itemgetter
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.observability import get_registry
@@ -61,21 +67,24 @@ from repro.storage.backend import (
 from repro.storage.errors import SnapshotMismatch, StorageError, WALCorruption
 from repro.storage.pages import (
     BlockCache,
+    RECORDS_PER_BLOCK,
     RunReader,
     TermBankReader,
-    _unpermute,
     write_run,
     write_term_bank,
 )
-from repro.storage.probe import DictIndexProbe, IndexProbe
+from repro.storage.probe import DictIndexProbe, IndexProbe, scan_index
 from repro.storage.wal import WALWriter
 
 MANIFEST_NAME = "MANIFEST.json"
 WAL_NAME = "store.wal"
 PAGED_FORMAT_VERSION = 2
+#: Manifest format of the retired disk engine; refused on open.
+RETIRED_DISK_FORMAT = 1
 
-#: Defaults: 4 MiB of cached blocks, checkpoint at 1 MiB of WAL,
-#: size-tiered merge at 4 runs per level.
+#: Defaults: 1024 cached blocks (4 MiB of records, about 16 MiB with
+#: their packed keys), checkpoint at 1 MiB of WAL, size-tiered merge at
+#: 4 runs per level.
 DEFAULT_CACHE_BLOCKS = 1024
 DEFAULT_CHECKPOINT_BYTES = 1 << 20
 DEFAULT_TIER_FANOUT = 4
@@ -99,6 +108,38 @@ def _fresh_manifest() -> Dict[str, Any]:
     }
 
 
+def read_manifest(path: "os.PathLike[str] | str", directory: Any) -> Dict[str, Any]:
+    """Load and check one store manifest.
+
+    Raises :class:`SnapshotMismatch` for an unreadable manifest, for a
+    store written by the retired disk engine (format 1) and for any
+    other format than the paged engine's.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            manifest = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise SnapshotMismatch(
+            f"unreadable manifest {path}: {exc}", directory=str(directory)
+        ) from exc
+    version = manifest.get("format")
+    if version == RETIRED_DISK_FORMAT:
+        raise SnapshotMismatch(
+            f"store at {directory} was written by the retired disk engine "
+            f"(manifest format {version}); this version reads only paged "
+            f"stores (format {PAGED_FORMAT_VERSION}), so re-create it",
+            directory=str(directory),
+        )
+    if version != PAGED_FORMAT_VERSION or manifest.get("engine") != "paged":
+        raise SnapshotMismatch(
+            f"manifest {path} has format {version!r} "
+            f"(engine {manifest.get('engine')!r}); the paged backend "
+            f"reads format {PAGED_FORMAT_VERSION}/paged",
+            directory=str(directory),
+        )
+    return manifest
+
+
 def _dump_pred_stats(stats: Dict[int, PredicateStats]) -> Dict[str, List[int]]:
     return {
         str(pid): list(entry.as_tuple()) for pid, entry in sorted(stats.items())
@@ -114,67 +155,49 @@ def _load_pred_stats(document: Dict[str, Any]) -> Dict[int, PredicateStats]:
 # -- lazy term dictionary ----------------------------------------------------
 
 
-class _TermState:
-    """Shared state behind the lazy term dictionary views.
+class _TermBanks:
+    """The term dictionary of a store reopened over term banks.
 
-    Ids ``0 .. base_total-1`` live in immutable banks; ids from
-    ``base_total`` up live in the overlay (interned since the last
-    checkpoint, replicated in the WAL).  Bank lookups are memoized in
-    both directions, so a hot term costs one decode ever.
+    Ids ``0 .. base-1`` live in the immutable banks found at open and
+    resolve on first use; ids from ``base`` up were interned by this
+    process.  Every term in RAM — resolved from a bank or interned —
+    is held in ``ids``/``resolved``, so a hot term costs one bank
+    decode ever.
     """
 
-    __slots__ = (
-        "banks",
-        "bases",
-        "base_total",
-        "overlay_terms",
-        "overlay_ids",
-        "id_cache",
-        "term_cache",
-    )
+    __slots__ = ("banks", "bases", "base", "count", "ids", "resolved")
 
-    def __init__(self) -> None:
-        self.banks: List[TermBankReader] = []
+    def __init__(self, banks: List[TermBankReader]) -> None:
+        self.banks = banks
         self.bases: List[int] = []
-        self.base_total = 0
-        self.overlay_terms: List[Node] = []
-        self.overlay_ids: Dict[Node, int] = {}
-        self.id_cache: Dict[Node, int] = {}
-        self.term_cache: Dict[int, Node] = {}
-
-    def attach_bank(self, bank: TermBankReader) -> None:
-        if bank.base != self.base_total:
-            raise SnapshotMismatch(
-                f"term bank {bank.path.name} starts at id {bank.base}; "
-                f"expected {self.base_total}",
-                segment=bank.path.name,
-            )
-        self.banks.append(bank)
-        self.bases.append(bank.base)
-        self.base_total += bank.count
-
-    def __len__(self) -> int:
-        return self.base_total + len(self.overlay_terms)
+        self.base = 0
+        for bank in banks:
+            if bank.base != self.base:
+                raise SnapshotMismatch(
+                    f"term bank {bank.path.name} starts at id {bank.base}; "
+                    f"expected {self.base}",
+                    segment=bank.path.name,
+                )
+            self.bases.append(bank.base)
+            self.base += bank.count
+        self.count = self.base
+        self.ids: Dict[Node, int] = {}
+        self.resolved: Dict[int, Node] = {}
 
     def term(self, tid: int) -> Node:
-        if tid >= self.base_total:
-            return self.overlay_terms[tid - self.base_total]
-        cached = self.term_cache.get(tid)
-        if cached is not None:
-            return cached
+        term = self.resolved.get(tid)
+        if term is not None:
+            return term
+        if not 0 <= tid < self.base:
+            raise IndexError(f"term id {tid} out of range")
         index = bisect.bisect_right(self.bases, tid) - 1
-        if index < 0:
-            raise IndexError(f"term id {tid} precedes every bank")
         term = self.banks[index].term(tid)
-        self.term_cache[tid] = term
-        self.id_cache[term] = tid
+        self.resolved[tid] = term
+        self.ids[term] = tid
         return term
 
     def find(self, term: Node) -> Optional[int]:
-        tid = self.overlay_ids.get(term)
-        if tid is not None:
-            return tid
-        tid = self.id_cache.get(term)
+        tid = self.ids.get(term)
         if tid is not None:
             return tid
         try:
@@ -184,26 +207,14 @@ class _TermState:
         for bank in self.banks:
             tid = bank.find(encoded)
             if tid is not None:
-                self.id_cache[term] = tid
-                self.term_cache[tid] = term
+                self.ids[term] = tid
+                self.resolved[tid] = term
                 return tid
         return None
 
-    def add_overlay(self, term: Node) -> int:
-        tid = len(self)
-        self.overlay_ids[term] = tid
-        self.overlay_terms.append(term)
-        return tid
-
-    def promote_overlay(self, bank: TermBankReader) -> None:
-        """Fold the overlay into a freshly written bank (checkpoint)."""
-        for offset, term in enumerate(self.overlay_terms):
-            tid = self.base_total + offset
-            self.term_cache[tid] = term
-            self.id_cache[term] = tid
-        self.overlay_terms = []
-        self.overlay_ids = {}
-        self.attach_bank(bank)
+    def append(self, term: Node) -> None:
+        self.resolved[self.count] = term
+        self.count += 1
 
     def close(self) -> None:
         for bank in self.banks:
@@ -211,56 +222,114 @@ class _TermState:
 
 
 class _LazyTermIds:
-    """The ``term -> id`` mapping surface over :class:`_TermState`."""
+    """The ``term -> id`` mapping surface over :class:`_TermBanks`."""
 
-    __slots__ = ("_state",)
+    __slots__ = ("_banks", "_ids")
 
-    def __init__(self, state: _TermState) -> None:
-        self._state = state
+    def __init__(self, banks: _TermBanks) -> None:
+        self._banks = banks
+        self._ids = banks.ids
 
     def get(self, term: Node, default: Optional[int] = None) -> Optional[int]:
-        tid = self._state.find(term)
+        tid = self._ids.get(term)
+        if tid is None:
+            tid = self._banks.find(term)
         return default if tid is None else tid
 
     def __getitem__(self, term: Node) -> int:
-        tid = self._state.find(term)
+        tid = self.get(term)
         if tid is None:
             raise KeyError(term)
         return tid
 
+    def __setitem__(self, term: Node, tid: int) -> None:
+        self._ids[term] = tid
+
     def __contains__(self, term: object) -> bool:
-        return self._state.find(term) is not None  # type: ignore[arg-type]
+        return self.get(term) is not None  # type: ignore[arg-type]
 
     def __len__(self) -> int:
-        return len(self._state)
+        return self._banks.count
 
 
 class _LazyTermList:
-    """The ``id -> term`` sequence surface over :class:`_TermState`."""
+    """The ``id -> term`` sequence surface over :class:`_TermBanks`."""
 
-    __slots__ = ("_state",)
+    __slots__ = ("_banks", "_resolved")
 
-    def __init__(self, state: _TermState) -> None:
-        self._state = state
+    def __init__(self, banks: _TermBanks) -> None:
+        self._banks = banks
+        self._resolved = banks.resolved
 
     def __getitem__(self, tid: int) -> Node:
-        return self._state.term(tid)
+        term = self._resolved.get(tid)
+        return term if term is not None else self._banks.term(tid)
 
     def __len__(self) -> int:
-        return len(self._state)
+        return self._banks.count
 
     def __iter__(self) -> Iterator[Node]:
-        for tid in range(len(self._state)):
-            yield self._state.term(tid)
+        for tid in range(self._banks.count):
+            yield self[tid]
 
     def append(self, term: Node) -> None:
-        self._state.add_overlay(term)
+        self._banks.append(term)
 
 
 # -- the probe ---------------------------------------------------------------
 
-#: Pattern shape -> (section index, key positions of the bound ids).
-#: Sections: 0 = SPO, 1 = POS, 2 = OSP (see ``repro.storage.pages``).
+
+#: Section record ``(a, b, c, flag)`` -> ``(s, p, o)``, per section
+#: (0 = SPO, 1 = POS, 2 = OSP; see ``repro.storage.pages``).
+_TO_SPO = (itemgetter(0, 1, 2), itemgetter(2, 0, 1), itemgetter(1, 2, 0))
+#: True for an add record, false for a tombstone.
+_IS_ADD = itemgetter(3)
+
+
+def _merge_newest(
+    runs: List[RunReader], section: int, prefix: Tuple[int, ...]
+) -> Iterator[Tuple[int, int, int, int]]:
+    """One section prefix range over several runs: one record per key.
+
+    Records come in key order as ``(a, b, c, flag)``; of the records
+    sharing a key, the one from the run with the highest ``seq`` wins.
+    """
+    streams = [
+        (
+            ((a, b, c), -run.seq, flag)
+            for a, b, c, flag in run.scan(section, prefix)
+        )
+        for run in runs
+    ]
+    previous: Optional[Tuple[int, int, int]] = None
+    for key, _negseq, flag in heapq.merge(*streams):
+        if key != previous:
+            previous = key
+            yield key + (flag,)
+
+
+def _shape(
+    sid: Optional[int], pid: Optional[int], oid: Optional[int]
+) -> Tuple[int, Tuple[int, ...]]:
+    """(section, key prefix) serving one id pattern.
+
+    Sections: 0 = SPO, 1 = POS, 2 = OSP (see ``repro.storage.pages``).
+    """
+    if sid is not None:
+        if pid is not None:
+            if oid is not None:
+                return (0, (sid, pid, oid))
+            return (0, (sid, pid))
+        if oid is not None:
+            return (2, (oid, sid))
+        return (0, (sid,))
+    if pid is not None:
+        if oid is not None:
+            return (1, (pid, oid))
+        return (1, (pid,))
+    if oid is not None:
+        return (2, (oid,))
+    return (0, ())
 
 
 class PagedProbe(IndexProbe):
@@ -269,69 +338,88 @@ class PagedProbe(IndexProbe):
     One instance serves the backend for its whole lifetime (the graph
     caches it); every call reads the backend's *current* run list, so
     checkpoints and compactions are transparent to the query layer.
+
+    Short run ranges — at most one block's worth of visible triples,
+    which covers every point-ish probe of a nested-loop join — are
+    kept decoded in an LRU *row cache*, as LSM stores keep a row cache
+    in front of their block cache.  It holds at most as many rows as
+    the block cache holds records.  Runs are immutable and the backend
+    replaces (never mutates) its run list, so the row cache is dropped
+    whenever that list changes; tombstones and the overlay are applied
+    on every read.  Only scans, which run under the owning graph's
+    lock, touch the row cache.
     """
 
-    __slots__ = ("_backend",)
+    __slots__ = ("_backend", "_rows", "_rows_held", "_rows_runs", "_row_limit")
 
     def __init__(self, backend: "PagedBackend") -> None:
         self._backend = backend
+        self._rows: "OrderedDict[Tuple[int, Tuple[int, ...]], Tuple[EncodedTriple, ...]]"
+        self._rows = OrderedDict()
+        self._rows_held = 0
+        self._rows_runs: List[RunReader] = backend.runs
+        self._row_limit = backend.cache.capacity_blocks * RECORDS_PER_BLOCK
 
     def contains(self, sid: int, pid: int, oid: int) -> bool:
         backend = self._backend
         if oid in backend.spo.get(sid, {}).get(pid, ()):
             return True
-        if (sid, pid, oid) in backend.tombstones:
+        if not backend.runs or (sid, pid, oid) in backend.tombstones:
             return False
-        for run in reversed(backend.runs):
-            flag = run.point(sid, pid, oid)
-            if flag is not None:
-                return flag == 1
-        return False
-
-    @staticmethod
-    def _shape(
-        sid: Optional[int], pid: Optional[int], oid: Optional[int]
-    ) -> Tuple[int, Tuple[int, ...]]:
-        """(section, key prefix) serving one non-point id pattern."""
-        if sid is not None:
-            if pid is not None:
-                return (0, (sid, pid))
-            if oid is not None:
-                return (2, (oid, sid))
-            return (0, (sid,))
-        if pid is not None:
-            if oid is not None:
-                return (1, (pid, oid))
-            return (1, (pid,))
-        if oid is not None:
-            return (2, (oid,))
-        return (0, ())
+        # Point checks may run without the graph lock, so they read the
+        # runs directly rather than through the row cache.
+        return backend._run_flag(sid, pid, oid) == 1
 
     def _merged_runs(
-        self, section: int, prefix: Tuple[int, ...]
+        self, key: Tuple[int, Tuple[int, ...]]
     ) -> Iterator[Tuple[int, int, int]]:
-        """Visible run triples of one range, newest record winning."""
+        """Visible run triples of one ``(section, prefix)`` range,
+        newest record winning.
+
+        Built from C iterators only (flag filter, permutation back to
+        (s, p, o), tombstone mask), so a probe pays no Python frame
+        per record; short ranges come from the row cache.
+        """
         backend = self._backend
         runs = backend.runs
         if not runs:
-            return
-        streams = [
-            (
-                ((a, b, c), -run.seq, flag)
-                for a, b, c, flag in run.scan(section, prefix)
-            )
-            for run in runs
-        ]
-        tombstones = backend.tombstones
-        previous: Optional[Tuple[int, int, int]] = None
-        for key, _negseq, flag in heapq.merge(*streams):
-            if key == previous:
-                continue
-            previous = key
-            if flag:
-                triple = _unpermute(section, *key)
-                if triple not in tombstones:
-                    yield triple
+            return iter(())
+        if runs is not self._rows_runs:
+            self._rows.clear()
+            self._rows_held = 0
+            self._rows_runs = runs
+        rows = self._rows.get(key)
+        if rows is not None:
+            self._rows.move_to_end(key)
+            triples: Iterator[EncodedTriple] = iter(rows)
+        else:
+            section, prefix = key
+            if len(runs) == 1:
+                records = runs[0].scan(section, prefix)
+            else:
+                records = _merge_newest(runs, section, prefix)
+            triples = map(_TO_SPO[section], filter(_IS_ADD, records))
+            rows = tuple(itertools.islice(triples, RECORDS_PER_BLOCK + 1))
+            if len(rows) > RECORDS_PER_BLOCK:
+                # A long range streams; only short ones stay decoded.
+                triples = itertools.chain(rows, triples)
+            else:
+                self._remember(key, rows)
+                triples = iter(rows)
+        if backend.tombstones:
+            return itertools.filterfalse(backend.tombstones.__contains__, triples)
+        return triples
+
+    def _remember(
+        self, key: Tuple[int, Tuple[int, ...]], rows: Tuple[EncodedTriple, ...]
+    ) -> None:
+        """Add one short range to the row cache, evicting LRU entries."""
+        self._rows[key] = rows
+        # An empty range still costs an entry: count it as one row.
+        self._rows_held += len(rows) or 1
+        while self._rows_held > self._row_limit:
+            _key, evicted = self._rows.popitem(last=False)
+            self._rows_held -= len(evicted) or 1
 
     def scan(
         self,
@@ -341,14 +429,27 @@ class PagedProbe(IndexProbe):
     ) -> Iterator[Tuple[int, int, int]]:
         if sid is not None and pid is not None and oid is not None:
             if self.contains(sid, pid, oid):
-                yield (sid, pid, oid)
-            return
+                return iter(((sid, pid, oid),))
+            return iter(())
         backend = self._backend
+        if not backend.runs:
+            return scan_index(backend, sid, pid, oid)
+        merged = self._merged_runs(_shape(sid, pid, oid))
+        # The overlay can match only if its index for the first bound
+        # id (the one scan_index starts from) has an entry for it.
+        if sid is not None:
+            overlay_matches = sid in backend.spo
+        elif pid is not None:
+            overlay_matches = pid in backend.pos
+        elif oid is not None:
+            overlay_matches = oid in backend.osp
+        else:
+            overlay_matches = bool(backend.spo)
+        if not overlay_matches:
+            return merged
         # Overlay adds are disjoint from visible run triples by
         # invariant, so chaining never duplicates.
-        yield from backend.overlay_probe.scan(sid, pid, oid)
-        section, prefix = self._shape(sid, pid, oid)
-        yield from self._merged_runs(section, prefix)
+        return itertools.chain(scan_index(backend, sid, pid, oid), merged)
 
     def count(
         self,
@@ -367,7 +468,7 @@ class PagedProbe(IndexProbe):
         # Upper bound: run ranges count superseded records and
         # tombstones until compaction folds them away.  Fence-key
         # binary search only — no record is materialised.
-        section, prefix = self._shape(sid, pid, oid)
+        section, prefix = _shape(sid, pid, oid)
         total = backend.overlay_probe.count(sid, pid, oid)
         for run in backend.runs:
             total += run.range_size(section, prefix)
@@ -417,13 +518,15 @@ class PagedBackend(StorageBackend):
         self.tier_fanout = max(2, tier_fanout)
         self._wal: Optional[WALWriter] = None
         self._closed = False
-        #: Open runs, ascending seq (oldest first, newest last).
+        #: Open runs, ascending seq (oldest first, newest last).  The
+        #: list is replaced, never mutated (see :class:`PagedProbe`).
         self.runs: List[RunReader] = []
         #: Deletes of run-visible triples since the last checkpoint.
         self.tombstones: Set[EncodedTriple] = set()
-        self._terms = _TermState()
-        self.term_ids = _LazyTermIds(self._terms)  # type: ignore[assignment]
-        self.term_list = _LazyTermList(self._terms)  # type: ignore[assignment]
+        #: Term banks found at open (``None`` when there were none).
+        self._banks: Optional[_TermBanks] = None
+        #: Ids below this are written to term banks.
+        self._banked_terms = 0
         #: Probe over the overlay dicts alone (statistics unused).
         self.overlay_probe = DictIndexProbe(self.spo, self.pos, self.osp, {})
         self._probe = PagedProbe(self)
@@ -435,7 +538,7 @@ class PagedBackend(StorageBackend):
         }
         manifest_path = self.directory / MANIFEST_NAME
         if manifest_path.exists():
-            self.manifest = self._read_manifest(manifest_path)
+            self.manifest = read_manifest(manifest_path, self.directory)
         elif create:
             self.directory.mkdir(parents=True, exist_ok=True)
             self.manifest = _fresh_manifest()
@@ -444,17 +547,26 @@ class PagedBackend(StorageBackend):
                 f"no store at {self.directory} (missing {MANIFEST_NAME})",
                 directory=str(self.directory),
             )
-        for entry in self.manifest["term_banks"]:
-            self._terms.attach_bank(
-                TermBankReader(self.directory / entry["file"])
+        if self.manifest["term_banks"]:
+            # A reopened store resolves its banked terms on first use;
+            # a store without banks keeps every term in the inherited
+            # plain dict and list, exactly as the memory backend does.
+            self._banks = _TermBanks(
+                [
+                    TermBankReader(self.directory / entry["file"])
+                    for entry in self.manifest["term_banks"]
+                ]
             )
-        for entry in sorted(
-            self.manifest["runs"], key=lambda item: int(item["seq"])
-        ):
-            self.runs.append(
-                RunReader(self.directory / entry["file"], self.cache)
+            self._banked_terms = self._banks.base
+            self.term_ids = _LazyTermIds(self._banks)  # type: ignore[assignment]
+            self.term_list = _LazyTermList(self._banks)  # type: ignore[assignment]
+        self.runs = [
+            RunReader(self.directory / entry["file"], self.cache)
+            for entry in sorted(
+                self.manifest["runs"], key=lambda item: int(item["seq"])
             )
-            self.recovery["segments_loaded"] += 1
+        ]
+        self.recovery["segments_loaded"] = len(self.runs)
         self.pred_stats.update(
             _load_pred_stats(self.manifest.get("pred_stats", {}))
         )
@@ -471,7 +583,7 @@ class PagedBackend(StorageBackend):
         registry = get_registry()
         registry.gauge(
             "repro_storage_open_backends",
-            "Disk backends currently open in this process.",
+            "Durable store backends currently open in this process.",
         ).inc()
         registry.histogram(
             "repro_storage_open_seconds",
@@ -485,26 +597,6 @@ class PagedBackend(StorageBackend):
         ).labels(outcome=self.recovery["outcome"]).inc()
 
     # -- opening -----------------------------------------------------------
-
-    def _read_manifest(self, path: pathlib.Path) -> Dict[str, Any]:
-        try:
-            manifest = json.loads(path.read_text("utf-8"))
-        except (OSError, ValueError) as exc:
-            raise SnapshotMismatch(
-                f"unreadable manifest {path}: {exc}",
-                directory=str(self.directory),
-            ) from exc
-        if (
-            manifest.get("format") != PAGED_FORMAT_VERSION
-            or manifest.get("engine") != "paged"
-        ):
-            raise SnapshotMismatch(
-                f"manifest {path} has format {manifest.get('format')!r} "
-                f"(engine {manifest.get('engine')!r}); the paged backend "
-                f"reads format {PAGED_FORMAT_VERSION}/paged",
-                directory=str(self.directory),
-            )
-        return manifest
 
     def _write_manifest(self) -> None:
         path = self.directory / MANIFEST_NAME
@@ -527,14 +619,14 @@ class PagedBackend(StorageBackend):
                 op = payload[0]
                 if op == records.OP_TERM:
                     tid, term = records.decode_term_payload(payload)
-                    total = len(self._terms)
+                    total = len(self.term_list)
                     if tid < total:
-                        if self._terms.term(tid) != term:
+                        if self.term_list[tid] != term:
                             raise records.RecordFormatError(
                                 f"term record rebinds id {tid}"
                             )
                     elif tid == total:
-                        self._terms.add_overlay(term)
+                        self._add_term(term)
                     else:
                         raise records.RecordFormatError(
                             f"term id {tid} skips ahead of the dictionary "
@@ -542,14 +634,14 @@ class PagedBackend(StorageBackend):
                         )
                 elif op == records.OP_ADD:
                     sid, pid, oid = records.decode_ids_payload(payload)
-                    if max(sid, pid, oid) >= len(self._terms):
+                    if max(sid, pid, oid) >= len(self.term_list):
                         raise records.RecordFormatError(
                             "triple record references unknown term ids"
                         )
                     self.insert(sid, pid, oid)
                 elif op == records.OP_DELETE:
                     sid, pid, oid = records.decode_ids_payload(payload)
-                    if max(sid, pid, oid) >= len(self._terms):
+                    if max(sid, pid, oid) >= len(self.term_list):
                         raise records.RecordFormatError(
                             "triple record references unknown term ids"
                         )
@@ -600,10 +692,14 @@ class PagedBackend(StorageBackend):
                 return flag
         return None
 
-    def _any_visible(
+    def _run_visible(
         self, sid: Optional[int], pid: Optional[int], oid: Optional[int]
     ) -> bool:
-        return next(self._probe.scan(sid, pid, oid), None) is not None
+        """Whether a run holds a visible triple matching the pattern."""
+        if not self.runs:
+            return False
+        matches = self._probe._merged_runs(_shape(sid, pid, oid))
+        return next(matches, None) is not None
 
     # -- overlay index maintenance (no statistics) -------------------------
 
@@ -637,25 +733,37 @@ class PagedBackend(StorageBackend):
 
     # -- mutation hooks ----------------------------------------------------
 
+    def _add_term(self, term: Node) -> int:
+        tid = len(self.term_list)
+        self.term_ids[term] = tid
+        self.term_list.append(term)
+        return tid
+
     def intern(self, term: Node) -> int:
-        tid = self._terms.find(term)
+        tid = self.term_ids.get(term)
         if tid is None:
-            tid = self._terms.add_overlay(term)
+            tid = self._add_term(term)
             if self._wal is not None:
                 self._wal.append(records.term_payload(tid, term))
         return tid
 
     def insert(self, sid: int, pid: int, oid: int) -> bool:
-        if oid in self.spo.get(sid, {}).get(pid, ()):
+        by_p = self.spo.get(sid)
+        objects = by_p.get(pid) if by_p is not None else None
+        if objects is not None and oid in objects:
             return False
         triple = (sid, pid, oid)
         resurrect = triple in self.tombstones
-        if not resurrect and self._run_flag(sid, pid, oid) == 1:
+        if self.runs and not resurrect and self._run_flag(sid, pid, oid) == 1:
             return False
         # Statistics are exact: a subject/object is new for the
         # predicate iff no triple with it is visible *before* this one.
-        new_subject = not self._any_visible(sid, pid, None)
-        new_object = not self._any_visible(None, pid, oid)
+        # Overlay adds are always visible, so the runs are consulted
+        # only when the overlay holds no match.
+        new_subject = objects is None and not self._run_visible(sid, pid, None)
+        new_object = oid not in self.pos.get(pid, ()) and not self._run_visible(
+            None, pid, oid
+        )
         if resurrect:
             self.tombstones.discard(triple)
         else:
@@ -687,9 +795,13 @@ class PagedBackend(StorageBackend):
             self.tombstones.add((sid, pid, oid))
         stats = self.pred_stats[pid]
         stats.triples -= 1
-        if not self._any_visible(sid, pid, None):
+        if pid not in self.spo.get(sid, ()) and not self._run_visible(
+            sid, pid, None
+        ):
             stats.subjects -= 1
-        if not self._any_visible(None, pid, oid):
+        if oid not in self.pos.get(pid, ()) and not self._run_visible(
+            None, pid, oid
+        ):
             stats.objects -= 1
         if stats.triples == 0:
             del self.pred_stats[pid]
@@ -752,10 +864,11 @@ class PagedBackend(StorageBackend):
         self._finalizer.detach()
         for run in self.runs:
             run.close()
-        self._terms.close()
+        if self._banks is not None:
+            self._banks.close()
         get_registry().gauge(
             "repro_storage_open_backends",
-            "Disk backends currently open in this process.",
+            "Durable store backends currently open in this process.",
         ).dec()
 
     @property
@@ -801,7 +914,7 @@ class PagedBackend(StorageBackend):
         }
         self.manifest["runs"] = self._run_entries()
         self.manifest["pred_stats"] = _dump_pred_stats(self.pred_stats)
-        self.manifest["terms"] = len(self._terms)
+        self.manifest["terms"] = len(self.term_list)
         self.manifest["triples"] = self.size
         self._write_manifest()
         after = {entry["file"] for entry in self.manifest["runs"]}
@@ -832,7 +945,7 @@ class PagedBackend(StorageBackend):
             )
         self._wal.flush()
         overlay_dirty = bool(self.spo) or bool(self.tombstones)
-        terms_dirty = bool(self._terms.overlay_terms)
+        terms_dirty = len(self.term_list) > self._banked_terms
         runs_dropped = {
             entry["file"] for entry in self.manifest.get("runs", [])
         } != {run.path.name for run in self.runs}
@@ -842,15 +955,14 @@ class PagedBackend(StorageBackend):
             return False
         if terms_dirty:
             bank_no = int(self.manifest.get("next_bank", 1))
+            total = len(self.term_list)
             entry = write_term_bank(
                 self.directory / f"terms-{bank_no:06d}.tb",
-                self._terms.base_total,
-                self._terms.overlay_terms,
+                self._banked_terms,
+                [self.term_list[tid] for tid in range(self._banked_terms, total)],
             )
             entry["created"] = time.time()
-            self._terms.promote_overlay(
-                TermBankReader(self.directory / entry["file"])
-            )
+            self._banked_terms = total
             self.manifest.setdefault("term_banks", []).append(entry)
             self.manifest["next_bank"] = bank_no + 1
         if overlay_dirty:
@@ -868,9 +980,11 @@ class PagedBackend(StorageBackend):
                 self.directory / f"run-{seq:06d}.run", seq, 0, entries
             )
             self.manifest["next_seq"] = seq + 1
-            self.runs.append(
+            # Replace, never mutate, the run list: the probe's row
+            # cache keys its validity on the list's identity.
+            self.runs = self.runs + [
                 RunReader(self.directory / f"run-{seq:06d}.run", self.cache)
-            )
+            ]
             self.spo.clear()
             self.pos.clear()
             self.osp.clear()
@@ -895,21 +1009,11 @@ class PagedBackend(StorageBackend):
         safe_drop = all(
             run.seq > max_seq for run in self.runs if run not in victim_set
         )
-        streams = [
-            (
-                ((a, b, c), -run.seq, flag)
-                for a, b, c, flag in run.scan(0, ())
-            )
-            for run in victims
+        entries = [
+            record
+            for record in _merge_newest(victims, 0, ())
+            if record[3] or not safe_drop
         ]
-        entries: List[Tuple[int, int, int, int]] = []
-        previous: Optional[Tuple[int, int, int]] = None
-        for key, _negseq, flag in heapq.merge(*streams):
-            if key == previous:
-                continue
-            previous = key
-            if flag or not safe_drop:
-                entries.append(key + (flag,))
         name_no = int(self.manifest.get("next_seq", 1))
         self.manifest["next_seq"] = name_no + 1
         survivors = [run for run in self.runs if run not in victim_set]
@@ -979,7 +1083,9 @@ class PagedBackend(StorageBackend):
                 directory=str(dest),
             )
         dest.mkdir(parents=True, exist_ok=True)
-        manifest = build_paged_store(dest, self)
+        manifest = build_paged_store(
+            dest, list(self.term_list), self.encoded_triples(), self.pred_stats
+        )
         manifest["store_id"] = self.manifest["store_id"]
         tmp = dest / (MANIFEST_NAME + ".tmp")
         tmp.write_text(
@@ -1020,7 +1126,7 @@ class PagedBackend(StorageBackend):
             segments=len(self.runs),
             segment_bytes=sum(int(e.get("bytes", 0)) for e in run_entries),
             segments_detail=details,
-            term_banks=len(self._terms.banks),
+            term_banks=len(self.manifest.get("term_banks", [])),
             overlay_triples=sum(
                 len(objects)
                 for by_p in self.spo.values()
@@ -1042,26 +1148,27 @@ class PagedBackend(StorageBackend):
 
 
 def build_paged_store(
-    directory: pathlib.Path, backend: StorageBackend
+    directory: pathlib.Path,
+    terms: List[Node],
+    triples: Iterable[EncodedTriple],
+    pred_stats: Dict[int, PredicateStats],
 ) -> Dict[str, Any]:
-    """Write a complete single-run paged store from a built backend.
+    """Write a complete single-run paged store from encoded state.
 
-    Used by the bulk loader (sorted runs written directly, no WAL
+    ``terms`` is the whole dictionary in id order, ``triples`` the
+    distinct encoded triples and ``pred_stats`` their exact statistics.
+    Used by the bulk loader (sorted run written directly, no WAL
     traffic) and by ``snapshot()``.  The destination directory must
     exist and hold no store; the caller writes the returned manifest.
     """
     created = time.time()
-    bank_entry = write_term_bank(
-        directory / "terms-000001.tb",
-        0,
-        list(backend.term_list),
-    )
+    bank_entry = write_term_bank(directory / "terms-000001.tb", 0, terms)
     bank_entry["created"] = created
     run_entry = write_run(
         directory / "run-000001.run",
         1,
         1,
-        ((sid, pid, oid, 1) for sid, pid, oid in backend.encoded_triples()),
+        ((sid, pid, oid, 1) for sid, pid, oid in triples),
     )
     run_entry["created"] = created
     manifest = _fresh_manifest()
@@ -1069,8 +1176,8 @@ def build_paged_store(
     manifest["term_banks"] = [bank_entry]
     manifest["next_seq"] = 2
     manifest["next_bank"] = 2
-    manifest["pred_stats"] = _dump_pred_stats(backend.pred_stats)
-    manifest["terms"] = len(backend.term_list)
-    manifest["triples"] = backend.size
+    manifest["pred_stats"] = _dump_pred_stats(pred_stats)
+    manifest["terms"] = len(terms)
+    manifest["triples"] = run_entry["adds"]
     (directory / WAL_NAME).touch()
     return manifest

@@ -18,9 +18,11 @@ A record is ``<u32 a><u32 b><u32 c><u8 flag><3 pad>`` — the triple ids
 permuted into the section's order, with ``flag`` 1 for an add and 0
 for a tombstone.  Records are sorted by ``(a, b, c)`` and grouped into
 4096-byte blocks of 256; the fence array holds the first key of every
-block, so a probe binary-searches the fences (12-byte mmap reads),
-fetches one block through the cache, and binary-searches inside it —
-no block is touched that the probe does not need.  The footer carries
+block, so a probe bisects the fences (decoded once per section, on
+its first probe), fetches one block through the cache, and bisects
+inside it — no block is touched that the probe does not need.  Both
+bisects run in C over keys packed into integers
+(``a << 64 | b << 32 | c``, see :func:`prefix_range`).  The footer carries
 per-section offsets, record counts, distinct-first-component counts
 (planner denominators) and CRCs (``repro store verify``), so opening a
 run is one mmap plus one footer read regardless of size.
@@ -41,7 +43,8 @@ memoized by the backend, so cold open never materialises the
 dictionary.
 
 **Block cache** — one LRU :class:`BlockCache` per store, shared by all
-of its runs, capped in 4096-byte blocks and observable through the
+of its runs, capped in blocks (each held with its packed keys) and
+observable through the
 ``repro_storage_page_hits_total`` / ``repro_storage_page_misses_total``
 / ``repro_storage_page_evictions_total`` counters and the
 ``repro_storage_page_cache_blocks`` gauge.
@@ -49,6 +52,7 @@ of its runs, capped in 4096-byte blocks and observable through the
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import mmap
@@ -57,7 +61,18 @@ import pathlib
 import struct
 import zlib
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    Any,
+    BinaryIO,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
+
+import numpy as np
 
 from repro.observability import get_registry
 from repro.rdf.term import Node
@@ -80,8 +95,6 @@ _FENCE = struct.Struct("<III")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 
-#: A key component strictly greater than any stored u32 (upper bounds).
-KEY_INFINITY = 1 << 32
 
 _reader_tokens = itertools.count(1)
 
@@ -104,23 +117,25 @@ class BlockCache:
                 f"capacity_blocks must be >= 1, got {capacity_blocks}"
             )
         self.capacity_blocks = capacity_blocks
-        self._blocks: "OrderedDict[Tuple[int, int, int], bytes]" = OrderedDict()
+        self._blocks: "OrderedDict[Tuple[int, int, int], _Block]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         registry = get_registry()
+        # The unlabelled children, resolved once: a hit is on every
+        # probe's path.
         self._hits_metric = registry.counter(
             "repro_storage_page_hits_total",
             "Block-cache hits across paged stores.",
-        )
+        ).labels()
         self._misses_metric = registry.counter(
             "repro_storage_page_misses_total",
             "Block-cache misses across paged stores.",
-        )
+        ).labels()
         self._evictions_metric = registry.counter(
             "repro_storage_page_evictions_total",
             "Blocks evicted from paged-store caches.",
-        )
+        ).labels()
         self._resident_metric = registry.gauge(
             "repro_storage_page_cache_blocks",
             "File blocks resident in paged-store caches.",
@@ -129,20 +144,20 @@ class BlockCache:
     def __len__(self) -> int:
         return len(self._blocks)
 
-    def get(
-        self,
-        key: Tuple[int, int, int],
-        loader: Callable[[], bytes],
-    ) -> bytes:
+    def get(self, key: Tuple[int, int, int]) -> Optional["_Block"]:
+        """The cached block (a hit), or ``None`` (a miss: ``put`` it)."""
         block = self._blocks.get(key)
-        if block is not None:
-            self._blocks.move_to_end(key)
-            self.hits += 1
-            self._hits_metric.inc()
-            return block
-        block = loader()
-        self.misses += 1
-        self._misses_metric.inc()
+        if block is None:
+            self.misses += 1
+            self._misses_metric.inc()
+            return None
+        self._blocks.move_to_end(key)
+        self.hits += 1
+        self._hits_metric.inc()
+        return block
+
+    def put(self, key: Tuple[int, int, int], block: "_Block") -> None:
+        """Cache one freshly read block, evicting from the LRU end."""
         self._blocks[key] = block
         self._resident_metric.inc()
         while len(self._blocks) > self.capacity_blocks:
@@ -150,7 +165,6 @@ class BlockCache:
             self.evictions += 1
             self._evictions_metric.inc()
             self._resident_metric.dec()
-        return block
 
     def purge(self, token: int) -> None:
         """Drop every cached block of one reader (close/compaction)."""
@@ -170,22 +184,23 @@ class BlockCache:
         }
 
 
-def _permute(section: int, sid: int, pid: int, oid: int) -> Tuple[int, int, int]:
-    """(s, p, o) into one section's key order."""
-    if section == 0:
-        return (sid, pid, oid)
-    if section == 1:
-        return (pid, oid, sid)
-    return (oid, sid, pid)
+#: Column order of each section's records, from ``(s, p, o, flag)``.
+_SECTION_COLUMNS = ([0, 1, 2, 3], [1, 2, 0, 3], [2, 0, 1, 3])
 
 
-def _unpermute(section: int, a: int, b: int, c: int) -> Tuple[int, int, int]:
-    """One section's key back into (s, p, o)."""
-    if section == 0:
-        return (a, b, c)
-    if section == 1:
-        return (c, a, b)
-    return (b, c, a)
+def prefix_range(prefix: Tuple[int, ...]) -> Tuple[int, int]:
+    """[low, high) packed keys of every record starting with ``prefix``.
+
+    A record key ``(a, b, c)`` packs into one integer
+    ``a << 64 | b << 32 | c``; integer order is key order, so ranges
+    and point lookups bisect plain lists of ints.
+    """
+    value = 0
+    for component in prefix:
+        value = (value << 32) | component
+    shift = 32 * (3 - len(prefix))
+    low = value << shift
+    return low, low + (1 << shift)
 
 
 # -- run files ---------------------------------------------------------------
@@ -204,50 +219,46 @@ def write_run(
     atomic (tmp + rename) and fsynced before rename, so a run named by
     a manifest is always complete.  Returns the manifest entry.
     """
-    base = list(entries)
-    adds = sum(1 for e in base if e[3])
+    # A record is <u32 a><u32 b><u32 c><u8 flag><3 pad>; with a 0/1
+    # flag that is exactly four little-endian u32s, so one uint32 table
+    # row per entry sorts and packs in C.  Ids beyond u32 raise.
+    table = np.fromiter(
+        itertools.chain.from_iterable(entries), dtype=np.uint32
+    ).reshape(-1, 4)
+    count = len(table)
+    adds = int(table[:, 3].sum())
     sections: List[Dict[str, Any]] = []
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as handle:
         handle.write(RUN_MAGIC)
         position = len(RUN_MAGIC)
-        pack = _RECORD.pack
-        for section in range(3):
-            rows = sorted(
-                (_permute(section, s, p, o) + (flag,))
-                for s, p, o, flag in base
-            )
-            data = bytearray()
-            fences = bytearray()
-            distinct = 0
-            previous_first: Optional[int] = None
-            for index, (a, b, c, flag) in enumerate(rows):
-                if index % RECORDS_PER_BLOCK == 0:
-                    fences += _FENCE.pack(a, b, c)
-                if a != previous_first:
-                    distinct += 1
-                    previous_first = a
-                data += pack(a, b, c, flag)
+        for section, columns in enumerate(_SECTION_COLUMNS):
+            rows = table[:, columns]
+            rows = rows[np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0]))]
+            data = rows.astype("<u4").tobytes()
+            fences = rows[::RECORDS_PER_BLOCK, :3].astype("<u4").tobytes()
             handle.write(data)
             handle.write(fences)
             sections.append(
                 {
                     "name": SECTIONS[section],
                     "offset": position,
-                    "records": len(rows),
+                    "records": count,
                     "blocks": len(fences) // _FENCE.size,
                     "fence_offset": position + len(data),
-                    "distinct": distinct,
-                    "crc": zlib.crc32(bytes(data) + bytes(fences)),
+                    "distinct": int(np.count_nonzero(np.diff(rows[:, 0]))) + 1
+                    if count
+                    else 0,
+                    "crc": zlib.crc32(fences, zlib.crc32(data)),
                 }
             )
             position += len(data) + len(fences)
         footer = {
             "seq": seq,
             "level": level,
-            "records": len(base),
+            "records": count,
             "adds": adds,
-            "tombstones": len(base) - adds,
+            "tombstones": count - adds,
             "sections": sections,
         }
         footer_bytes = json.dumps(footer, sort_keys=True).encode("utf-8")
@@ -261,9 +272,9 @@ def write_run(
         "file": path.name,
         "seq": seq,
         "level": level,
-        "records": len(base),
+        "records": count,
         "adds": adds,
-        "tombstones": len(base) - adds,
+        "tombstones": count - adds,
         "bytes": path.stat().st_size,
     }
 
@@ -299,6 +310,56 @@ def _read_footer(
         ) from exc
 
 
+def _open_segment(path: pathlib.Path) -> BinaryIO:
+    """Open one run or bank file a manifest names; missing is a mismatch."""
+    try:
+        return open(path, "rb")
+    except FileNotFoundError as exc:
+        raise SnapshotMismatch(
+            f"{path.name} is named by the manifest but missing",
+            segment=path.name,
+        ) from exc
+
+
+class _Block:
+    """One cached block: its record bytes, plus packed keys once hot.
+
+    A block read once is searched record by record — decoding its 256
+    keys would cost more than that one search.  From its second read
+    on the keys are decoded (see :func:`prefix_range` for the packing)
+    and every search is one C-level bisect.
+    """
+
+    __slots__ = ("data", "count", "keys")
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+        self.count = len(data) // RECORD_BYTES
+        self.keys: Optional[List[int]] = None
+
+    def decode_keys(self) -> None:
+        self.keys = [
+            (a << 64) | (b << 32) | c
+            for a, b, c, _flag in _RECORD.iter_unpack(self.data)
+        ]
+
+    def lower(self, target: int, lo: int = 0) -> int:
+        """Index of the first record (from ``lo``) with key >= ``target``."""
+        if self.keys is not None:
+            return bisect.bisect_left(self.keys, target, lo)
+        data = self.data
+        hi = self.count
+        unpack = _RECORD.unpack_from
+        while lo < hi:
+            mid = (lo + hi) // 2
+            a, b, c, _flag = unpack(data, mid * RECORD_BYTES)
+            if (a << 64) | (b << 32) | c < target:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
+
 class _Section:
     __slots__ = ("offset", "records", "blocks", "fence_offset", "distinct", "crc")
 
@@ -315,16 +376,17 @@ class RunReader:
     """Random access over one immutable run file via mmap + cache.
 
     Opening reads only the footer — O(1) regardless of run size.  All
-    record access goes through the shared :class:`BlockCache`; fence
-    keys are read straight off the mmap (12 bytes each, never enough
-    to be worth caching).
+    record access goes through the shared :class:`BlockCache`.  A
+    section's fence keys (12 bytes per 4096-byte block) are decoded
+    into a list on its first probe, so picking a block is one C-level
+    bisect instead of a Python loop over mmap reads.
     """
 
     def __init__(self, path: pathlib.Path, cache: BlockCache) -> None:
         self.path = path
         self.token = next(_reader_tokens)
         self._cache = cache
-        self._file = open(path, "rb")
+        self._file = _open_segment(path)
         try:
             self._map: "mmap.mmap | bytes" = mmap.mmap(
                 self._file.fileno(), 0, access=mmap.ACCESS_READ
@@ -340,6 +402,7 @@ class RunReader:
         self.adds = int(footer["adds"])
         self.tombstones = int(footer["tombstones"])
         self._sections = [_Section(entry) for entry in footer["sections"]]
+        self._fences: List[Optional[List[int]]] = [None] * len(self._sections)
 
     def close(self) -> None:
         self._cache.purge(self.token)
@@ -349,111 +412,113 @@ class RunReader:
 
     # -- low-level access --------------------------------------------------
 
-    def _fence(self, section: _Section, block: int) -> Tuple[int, int, int]:
-        return _FENCE.unpack_from(
-            self._map, section.fence_offset + block * _FENCE.size
-        )
+    def _fence_keys(self, section_index: int) -> List[int]:
+        fences = self._fences[section_index]
+        if fences is None:
+            section = self._sections[section_index]
+            start = section.fence_offset
+            fences = [
+                (a << 64) | (b << 32) | c
+                for a, b, c in _FENCE.iter_unpack(
+                    self._map[start : start + section.blocks * _FENCE.size]
+                )
+            ]
+            self._fences[section_index] = fences
+        return fences
 
-    def _block(self, section_index: int, block: int) -> bytes:
-        section = self._sections[section_index]
-        start = section.offset + block * BLOCK_BYTES
-        length = min(
-            BLOCK_BYTES, section.records * RECORD_BYTES - block * BLOCK_BYTES
-        )
+    def _block(self, section_index: int, number: int) -> "_Block":
+        key = (self.token, section_index, number)
+        block = self._cache.get(key)
+        if block is None:
+            section = self._sections[section_index]
+            start = section.offset + number * BLOCK_BYTES
+            length = min(
+                BLOCK_BYTES, section.records * RECORD_BYTES - number * BLOCK_BYTES
+            )
+            block = _Block(bytes(self._map[start : start + length]))
+            self._cache.put(key, block)
+        elif block.keys is None:
+            block.decode_keys()
+        return block
 
-        def load() -> bytes:
-            return bytes(self._map[start : start + length])
+    def _seek(self, section_index: int, target: int) -> Tuple[int, "_Block", int]:
+        """(block number, block, in-block index) of the first record
+        whose key is >= ``target``; the index equals the block's record
+        count when every record of it is smaller.
 
-        return self._cache.get((self.token, section_index, block), load)
-
-    def _record(
-        self, section_index: int, index: int
-    ) -> Tuple[int, int, int, int]:
-        block = self._block(section_index, index // RECORDS_PER_BLOCK)
-        return _RECORD.unpack_from(
-            block, (index % RECORDS_PER_BLOCK) * RECORD_BYTES
-        )
-
-    def _lower_bound(
-        self, section_index: int, target: Tuple[int, int, int]
-    ) -> int:
-        """Index of the first record with key >= ``target``.
-
-        Fence binary search picks the block without touching data
-        pages; the in-block search runs on cache-resident bytes.
+        The fence bisect picks the block without touching data pages.
         """
-        section = self._sections[section_index]
-        if section.records == 0:
+        fences = self._fences[section_index] or self._fence_keys(section_index)
+        number = max(0, bisect.bisect_right(fences, target) - 1)
+        block = self._block(section_index, number)
+        return number, block, block.lower(target)
+
+    def _lower_bound(self, section_index: int, target: int) -> int:
+        """Index of the first record with key >= ``target``."""
+        if self._sections[section_index].records == 0:
             return 0
-        lo, hi = 0, section.blocks
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._fence(section, mid) <= target:
-                lo = mid + 1
-            else:
-                hi = mid
-        block = lo - 1
-        if block < 0:
-            return 0
-        base = block * RECORDS_PER_BLOCK
-        data = self._block(section_index, block)
-        lo, hi = 0, min(RECORDS_PER_BLOCK, section.records - base)
-        unpack = _RECORD.unpack_from
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if unpack(data, mid * RECORD_BYTES)[:3] < target:
-                lo = mid + 1
-            else:
-                hi = mid
-        return base + lo
+        number, _block, index = self._seek(section_index, target)
+        return number * RECORDS_PER_BLOCK + index
 
     # -- probes ------------------------------------------------------------
 
-    def range_bounds(
-        self, section_index: int, prefix: Tuple[int, ...]
-    ) -> Tuple[int, int]:
-        """[start, end) record indices of one key-prefix range."""
-        if not prefix:
-            return (0, self._sections[section_index].records)
-        low = tuple(prefix) + (0,) * (3 - len(prefix))
-        if len(prefix) == 3:
-            # A full key is a singleton range: [key, key-successor).
-            high = prefix[:2] + (prefix[2] + 1,)
-        else:
-            high = tuple(prefix) + (KEY_INFINITY,) * (3 - len(prefix))
-        start = self._lower_bound(section_index, low)  # type: ignore[arg-type]
-        end = self._lower_bound(section_index, high)  # type: ignore[arg-type]
-        return (start, end)
-
     def range_size(self, section_index: int, prefix: Tuple[int, ...]) -> int:
-        start, end = self.range_bounds(section_index, prefix)
-        return end - start
+        """Records of one key-prefix range (two seeks, no decoding)."""
+        if not prefix:
+            return self._sections[section_index].records
+        low, high = prefix_range(prefix)
+        return self._lower_bound(section_index, high) - self._lower_bound(
+            section_index, low
+        )
 
     def scan(
         self, section_index: int, prefix: Tuple[int, ...]
     ) -> Iterator[Tuple[int, int, int, int]]:
-        """Records of one prefix range, in section key order."""
-        start, end = self.range_bounds(section_index, prefix)
-        unpack = _RECORD.unpack_from
-        index = start
-        while index < end:
-            block_no = index // RECORDS_PER_BLOCK
-            data = self._block(section_index, block_no)
-            stop = min(end, (block_no + 1) * RECORDS_PER_BLOCK)
-            offset = (index % RECORDS_PER_BLOCK) * RECORD_BYTES
-            for _ in range(stop - index):
-                yield unpack(data, offset)
-                offset += RECORD_BYTES
-            index = stop
+        """Records of one key-prefix range, in section key order.
+
+        One seek finds the first record; each block contributes the
+        slice below the range's upper key, decoded in C.  A range that
+        ends in its first block — every point-ish probe — is returned
+        as that one C iterator.
+        """
+        section = self._sections[section_index]
+        if section.records == 0:
+            return iter(())
+        low, high = prefix_range(prefix)
+        number, block, index = self._seek(section_index, low)
+        end = block.lower(high, index)
+        first = _RECORD.iter_unpack(
+            block.data[index * RECORD_BYTES : end * RECORD_BYTES]
+        )
+        if end < block.count or number + 1 >= section.blocks:
+            return first
+        return itertools.chain(
+            first, self._records_from(section_index, number + 1, high)
+        )
+
+    def _records_from(
+        self, section_index: int, number: int, high: int
+    ) -> Iterator[Tuple[int, int, int, int]]:
+        """Records from the start of block ``number`` on, below ``high``."""
+        blocks = self._sections[section_index].blocks
+        while number < blocks:
+            block = self._block(section_index, number)
+            end = block.lower(high)
+            yield from _RECORD.iter_unpack(block.data[: end * RECORD_BYTES])
+            if end < block.count:
+                return
+            number += 1
 
     def point(self, sid: int, pid: int, oid: int) -> Optional[int]:
         """The flag of one exact triple, or ``None`` if absent."""
-        key = (sid, pid, oid)
-        index = self._lower_bound(0, key)
-        if index >= self._sections[0].records:
+        if self._sections[0].records == 0:
             return None
-        record = self._record(0, index)
-        return record[3] if record[:3] == key else None
+        _number, block, index = self._seek(0, (sid << 64) | (pid << 32) | oid)
+        if index < block.count:
+            a, b, c, flag = _RECORD.unpack_from(block.data, index * RECORD_BYTES)
+            if a == sid and b == pid and c == oid:
+                return flag
+        return None
 
     def distinct_first(self, section_index: int) -> int:
         return self._sections[section_index].distinct
@@ -487,31 +552,28 @@ def write_term_bank(
 ) -> Dict[str, Any]:
     """Write one immutable term bank for ids ``base .. base+len-1``."""
     blobs = [records.encode_term(term) for term in terms]
+    framed = b"".join(_U32.pack(len(blob)) + blob for blob in blobs)
+    position = len(BANK_MAGIC) + len(framed)
+    # Each term's offset: the magic, then every framed term before it.
+    sizes = np.fromiter(map(len, blobs), dtype=np.uint64, count=len(blobs))
+    offsets = np.cumsum(sizes + _U32.size) - (sizes + _U32.size) + len(BANK_MAGIC)
+    offsets_bytes = offsets.astype("<u8").tobytes()
+    order = sorted(range(len(blobs)), key=blobs.__getitem__)
+    order_bytes = np.array(order, dtype="<u4").tobytes()
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as handle:
         handle.write(BANK_MAGIC)
-        position = len(BANK_MAGIC)
-        offsets = bytearray()
-        crc = 0
-        for blob in blobs:
-            offsets += _U64.pack(position)
-            framed = _U32.pack(len(blob)) + blob
-            handle.write(framed)
-            crc = zlib.crc32(framed, crc)
-            position += len(framed)
-        order = bytearray()
-        for relative in sorted(range(len(blobs)), key=lambda i: blobs[i]):
-            order += _U32.pack(relative)
-        handle.write(offsets)
-        handle.write(order)
+        handle.write(framed)
+        handle.write(offsets_bytes)
+        handle.write(order_bytes)
         # The CRC covers every payload byte plus both arrays — the
         # whole file between the magic and the footer.
-        crc = zlib.crc32(bytes(offsets) + bytes(order), crc)
+        crc = zlib.crc32(order_bytes, zlib.crc32(offsets_bytes, zlib.crc32(framed)))
         footer = {
             "base": base,
             "count": len(blobs),
             "offsets_offset": position,
-            "order_offset": position + len(offsets),
+            "order_offset": position + len(offsets_bytes),
             "crc": crc,
         }
         footer_bytes = json.dumps(footer, sort_keys=True).encode("utf-8")
@@ -534,7 +596,7 @@ class TermBankReader:
 
     def __init__(self, path: pathlib.Path) -> None:
         self.path = path
-        self._file = open(path, "rb")
+        self._file = _open_segment(path)
         try:
             self._map: "mmap.mmap | bytes" = mmap.mmap(
                 self._file.fileno(), 0, access=mmap.ACCESS_READ

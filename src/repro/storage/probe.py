@@ -20,11 +20,12 @@ them — dict-indexed or paged — can sit behind the planner unchanged:
   object counts (the planner's fallback denominators).
 
 :class:`DictIndexProbe` implements the protocol over the nested-dict
-indices of :class:`~repro.storage.backend.MemoryBackend` (and so of
-``DiskBackend``) with *exactly* the loops and arithmetic the planner
-used inline — behaviour- and plan-identical by construction, which the
-differential suites pin.  :class:`repro.storage.paged.PagedProbe`
-implements it over immutable mmap'd sorted runs.
+indices of :class:`~repro.storage.backend.MemoryBackend` with
+*exactly* the loops and arithmetic the planner used inline —
+behaviour- and plan-identical by construction, which the differential
+suites pin.  :class:`repro.storage.paged.PagedProbe` implements it
+over the paged engine's write overlay (the same dict traversal,
+:func:`scan_index`) chained with its immutable mmap'd sorted runs.
 
 Synchronization follows the graph contract: ``scan`` results are
 materialised under the owning graph's lock; ``contains`` is safe
@@ -33,14 +34,14 @@ lock-free.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional, Tuple
 
 from repro.storage.backend import Index, PredicateStats
 
 if TYPE_CHECKING:  # pragma: no cover
     pass
 
-__all__ = ["IndexProbe", "DictIndexProbe"]
+__all__ = ["IndexProbe", "DictIndexProbe", "scan_index"]
 
 
 class IndexProbe:
@@ -82,13 +83,76 @@ class IndexProbe:
         raise NotImplementedError
 
 
+def scan_index(
+    index: Any,
+    sid: Optional[int],
+    pid: Optional[int],
+    oid: Optional[int],
+) -> Iterator[Tuple[int, int, int]]:
+    """Encoded triples of nested-dict indices matching an id pattern.
+
+    Served from the best of the SPO / POS / OSP orderings for the
+    bound positions.  ``index`` is anything holding ``spo``/``pos``/
+    ``osp`` dicts: it is :meth:`DictIndexProbe.scan` itself, and the
+    paged engine reads its in-memory overlay (the backend's own dicts)
+    through it.
+    """
+    if sid is not None:
+        by_p = index.spo.get(sid)
+        if by_p is None:
+            return
+        if pid is not None:
+            objects = by_p.get(pid)
+            if objects is None:
+                return
+            if oid is not None:
+                if oid in objects:
+                    yield (sid, pid, oid)
+                return
+            for obj in objects:
+                yield (sid, pid, obj)
+            return
+        if oid is not None:
+            for pred in index.osp.get(oid, {}).get(sid, ()):
+                yield (sid, pred, oid)
+            return
+        for pred, objects in by_p.items():
+            for obj in objects:
+                yield (sid, pred, obj)
+        return
+    if pid is not None:
+        by_o = index.pos.get(pid)
+        if by_o is None:
+            return
+        if oid is not None:
+            for subj in by_o.get(oid, ()):
+                yield (subj, pid, oid)
+            return
+        for obj, subjects in by_o.items():
+            for subj in subjects:
+                yield (subj, pid, obj)
+        return
+    if oid is not None:
+        by_s = index.osp.get(oid)
+        if by_s is None:
+            return
+        for subj, preds in by_s.items():
+            for pred in preds:
+                yield (subj, pred, oid)
+        return
+    for subj, by_p in index.spo.items():
+        for pred, objects in by_p.items():
+            for obj in objects:
+                yield (subj, pred, obj)
+
+
 class DictIndexProbe(IndexProbe):
     """The protocol over nested-dict SPO/POS/OSP indices.
 
     Every method body is the exact code the planner and graph ran
     inline before the protocol existed — same traversal order, same
     arithmetic — so plans and result ordering are unchanged for the
-    memory and disk backends.
+    memory backend and the paged engine's overlay.
     """
 
     __slots__ = ("spo", "pos", "osp", "pred_stats")
@@ -108,59 +172,8 @@ class DictIndexProbe(IndexProbe):
     def contains(self, sid: int, pid: int, oid: int) -> bool:
         return oid in self.spo.get(sid, {}).get(pid, ())
 
-    def scan(
-        self,
-        sid: Optional[int],
-        pid: Optional[int],
-        oid: Optional[int],
-    ) -> Iterator[Tuple[int, int, int]]:
-        if sid is not None:
-            by_p = self.spo.get(sid)
-            if by_p is None:
-                return
-            if pid is not None:
-                objects = by_p.get(pid)
-                if objects is None:
-                    return
-                if oid is not None:
-                    if oid in objects:
-                        yield (sid, pid, oid)
-                    return
-                for obj in objects:
-                    yield (sid, pid, obj)
-                return
-            if oid is not None:
-                for pred in self.osp.get(oid, {}).get(sid, ()):
-                    yield (sid, pred, oid)
-                return
-            for pred, objects in by_p.items():
-                for obj in objects:
-                    yield (sid, pred, obj)
-            return
-        if pid is not None:
-            by_o = self.pos.get(pid)
-            if by_o is None:
-                return
-            if oid is not None:
-                for subj in by_o.get(oid, ()):
-                    yield (subj, pid, oid)
-                return
-            for obj, subjects in by_o.items():
-                for subj in subjects:
-                    yield (subj, pid, obj)
-            return
-        if oid is not None:
-            by_s = self.osp.get(oid)
-            if by_s is None:
-                return
-            for subj, preds in by_s.items():
-                for pred in preds:
-                    yield (subj, pred, oid)
-            return
-        for subj, by_p in self.spo.items():
-            for pred, objects in by_p.items():
-                for obj in objects:
-                    yield (subj, pred, obj)
+    #: The generator itself, so a scan costs one frame.
+    scan = scan_index
 
     def count(
         self,

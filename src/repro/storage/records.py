@@ -1,9 +1,9 @@
-"""Binary record framing and term codec shared by WAL and segments.
+"""Binary record framing and term codec of the write-ahead log.
 
-One framing serves both files: every record is ``<u32 length><u32
-crc32(payload)><payload>`` (little-endian), so recovery and segment
-loading share a single scanner.  The scanner distinguishes three end
-states:
+Every WAL record is ``<u32 length><u32 crc32(payload)><payload>``
+(little-endian); recovery and ``repro store verify`` share one
+scanner.  The term codec is also the key encoding of the paged
+engine's term banks.  The scanner distinguishes three end states:
 
 * ``clean`` — the byte stream ended exactly on a record boundary;
 * ``torn`` — the final record is incomplete (a crash cut an append
@@ -19,7 +19,6 @@ Payloads start with a one-byte opcode:
 ``ADD``    ``<u8 op><u32 sid><u32 pid><u32 oid>``
 ``DELETE`` ``<u8 op><u32 sid><u32 pid><u32 oid>``
 ``CLEAR``  ``<u8 op>``
-``FOOTER`` ``<u8 op>`` + UTF-8 JSON (segment summary; never in WAL)
 =========  =====================================================
 
 Terms encode as ``<u8 kind>`` + kind-specific bytes: URI and blank
@@ -31,7 +30,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.rdf.term import BNode, Literal, Node, URIRef
 
@@ -45,7 +44,6 @@ OP_TERM = 0x01
 OP_ADD = 0x02
 OP_DELETE = 0x03
 OP_CLEAR = 0x04
-OP_FOOTER = 0x05
 
 #: Term kinds.
 KIND_URI = 0x01
@@ -53,11 +51,8 @@ KIND_BNODE = 0x02
 KIND_LITERAL = 0x03
 
 #: Upper bound on one record; a declared length beyond this is
-#: corruption, not a large record (terms and footers stay far below).
+#: corruption, not a large record (terms stay far below).
 MAX_RECORD_BYTES = 64 * 1024 * 1024
-
-#: Segment file magic (8 bytes, versioned).
-SEGMENT_MAGIC = b"RPROSEG1"
 
 
 class RecordFormatError(ValueError):
@@ -145,10 +140,6 @@ def clear_payload() -> bytes:
     return bytes((OP_CLEAR,))
 
 
-def footer_payload(document: bytes) -> bytes:
-    return bytes((OP_FOOTER,)) + document
-
-
 def decode_term_payload(payload: bytes) -> Tuple[int, Node]:
     """(tid, term) of one ``TERM`` payload."""
     _, tid = _OP_TERM_HEAD.unpack_from(payload, 0)
@@ -221,8 +212,3 @@ class RecordScanner:
             self.end = offset
             yield payload
 
-
-def scan_records(data: bytes, start: int = 0) -> Tuple[List[bytes], RecordScanner]:
-    """Materialise every valid record; returns (payloads, scanner)."""
-    scanner = RecordScanner(data, start)
-    return list(scanner), scanner

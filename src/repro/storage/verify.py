@@ -4,16 +4,16 @@
 backend* — no WAL replay, no index rebuild, no manifest mutation — and
 recomputes every stored checksum:
 
-* **disk engine** (manifest format 1): each segment's record framing
-  is re-scanned (per-record CRC32) and its footer counts are checked
-  against what the records actually declare;
-* **paged engine** (manifest format 2): each run's three section CRCs
-  and each term bank's offsets/order CRC are recomputed over the raw
-  mmap'd bytes, and footer record counts are checked against the
-  section sizes;
-* **both**: the WAL is scanned record by record.  A *torn tail* (a
-  crash cut the final append short) is recovery-normal and reported as
-  a note, not a failure; an in-place CRC mismatch is a failure.
+* each run's three section CRCs and each term bank's offsets/order
+  CRC are recomputed over the raw mmap'd bytes, and footer record
+  counts are checked against the section sizes;
+* the WAL is scanned record by record.  A *torn tail* (a crash cut
+  the final append short) is recovery-normal and reported as a note,
+  not a failure; an in-place CRC mismatch is a failure.
+
+A manifest the paged engine cannot read — including a store written by
+the retired disk engine (format 1) — raises :class:`SnapshotMismatch`
+before any file is checked.
 
 Verification stops at the first mismatch — the report names the file
 and the reason, and the CLI exits non-zero with the report on stdout
@@ -22,14 +22,13 @@ as JSON, so scripted integrity sweeps need no output parsing.
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 from typing import Any, Dict, List, Optional
 
 from repro.storage import records
-from repro.storage.disk import MANIFEST_NAME, WAL_NAME
 from repro.storage.errors import SnapshotMismatch, StorageError
+from repro.storage.paged import MANIFEST_NAME, WAL_NAME, read_manifest
 
 __all__ = ["verify_store"]
 
@@ -38,51 +37,6 @@ def _failure(report: Dict[str, Any], file: str, error: str) -> Dict[str, Any]:
     report["ok"] = False
     report["failure"] = {"file": file, "error": error}
     return report
-
-
-def _verify_disk_segment(
-    directory: pathlib.Path, entry: Dict[str, Any]
-) -> Optional[str]:
-    """None if the segment checks out, else the failure reason."""
-    name = entry.get("name", "?")
-    path = directory / name
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        return f"unreadable: {exc}"
-    if not data.startswith(records.SEGMENT_MAGIC):
-        return "missing segment magic"
-    scanner = records.RecordScanner(data, len(records.SEGMENT_MAGIC))
-    terms = 0
-    triples = 0
-    footer: Optional[Dict[str, Any]] = None
-    try:
-        for payload in scanner:
-            op = payload[0]
-            if op == records.OP_TERM:
-                terms += 1
-            elif op == records.OP_ADD:
-                triples += 1
-            elif op == records.OP_FOOTER:
-                footer = json.loads(payload[1:].decode("utf-8"))
-            else:
-                return f"unexpected opcode 0x{op:02x}"
-    except (ValueError, IndexError) as exc:
-        return f"undecodable record: {exc}"
-    if scanner.status != "clean":
-        return scanner.error or "truncated record stream"
-    if footer is None:
-        return "no footer record"
-    if footer.get("terms") != terms or footer.get("triples") != triples:
-        return (
-            f"footer claims {footer.get('terms')} terms / "
-            f"{footer.get('triples')} triples; file holds "
-            f"{terms} / {triples}"
-        )
-    expected = int(entry.get("triples", triples))
-    if triples != expected:
-        return f"manifest claims {expected} triples; file holds {triples}"
-    return None
 
 
 def _verify_paged_file(
@@ -143,47 +97,26 @@ def verify_store(directory: str) -> Dict[str, Any]:
             f"no store at {root} (missing {MANIFEST_NAME})",
             directory=str(root),
         )
-    try:
-        manifest = json.loads(manifest_path.read_text("utf-8"))
-    except (OSError, ValueError) as exc:
-        raise SnapshotMismatch(
-            f"unreadable manifest {manifest_path}: {exc}",
-            directory=str(root),
-        ) from exc
-    version = manifest.get("format")
+    manifest = read_manifest(manifest_path, root)
     report: Dict[str, Any] = {
         "directory": str(root),
+        "engine": "paged",
         "ok": True,
         "checked": [],
     }
     checked: List[Dict[str, Any]] = report["checked"]
-    if version == 1:
-        report["engine"] = "disk"
-        for entry in manifest.get("segments", []):
-            name = entry.get("name", "?")
-            error = _verify_disk_segment(root, entry)
-            if error is not None:
-                return _failure(report, name, error)
-            checked.append({"file": name, "kind": "segment"})
-    elif version == 2:
-        report["engine"] = "paged"
-        for entry in manifest.get("runs", []):
-            name = entry.get("file", "?")
-            error = _verify_paged_file(root, name, "run")
-            if error is not None:
-                return _failure(report, name, error)
-            checked.append({"file": name, "kind": "run"})
-        for entry in manifest.get("term_banks", []):
-            name = entry.get("file", "?")
-            error = _verify_paged_file(root, name, "bank")
-            if error is not None:
-                return _failure(report, name, error)
-            checked.append({"file": name, "kind": "term_bank"})
-    else:
-        raise SnapshotMismatch(
-            f"manifest {manifest_path} has unknown format {version!r}",
-            directory=str(root),
-        )
+    for entry in manifest.get("runs", []):
+        name = entry.get("file", "?")
+        error = _verify_paged_file(root, name, "run")
+        if error is not None:
+            return _failure(report, name, error)
+        checked.append({"file": name, "kind": "run"})
+    for entry in manifest.get("term_banks", []):
+        name = entry.get("file", "?")
+        error = _verify_paged_file(root, name, "bank")
+        if error is not None:
+            return _failure(report, name, error)
+        checked.append({"file": name, "kind": "term_bank"})
     wal_path = root / WAL_NAME
     error = _verify_wal(wal_path, report)
     if error is not None:

@@ -12,9 +12,9 @@ to the OS, then applies the *sync policy*:
 * ``none`` — never ``fsync`` explicitly (durable against process
   crash via the OS page cache, not against power loss).
 
-``benchmarks/bench_storage.py`` (E19) measures exactly these three
-points.  Recovery tolerates a torn final record regardless of policy —
-see :meth:`repro.storage.disk.DiskBackend._replay_wal`.
+``benchmarks/bench_paged_storage.py`` (E22) measures exactly these
+three points.  Recovery tolerates a torn final record regardless of
+policy — see :meth:`repro.storage.paged.PagedBackend._replay_wal`.
 """
 
 from __future__ import annotations

@@ -1,26 +1,28 @@
-"""Unit tests for the paged storage engine (ISSUE 10 tentpole).
+"""Unit tests for the paged storage engine, the one durable engine.
 
 Covers the layers below the differential suite: the immutable run /
-term-bank file formats, the bounded block cache, size-tiered
-compaction with tombstone garbage collection, offline verification,
-and the probe-API source lint — no module outside ``rdf/graph.py``
-and the storage package may reach into the raw ``_spo``/``_pos``/
-``_osp`` index dictionaries.
+term-bank file formats, the bounded block and row caches, size-tiered
+compaction with tombstone garbage collection, store dispatch and the
+refusal of stores left by the retired disk engine, offline
+verification, and the probe-API source lint — no module outside
+``rdf/graph.py`` and the storage package may reach into the raw
+``_spo``/``_pos``/``_osp`` index dictionaries.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
+import random
 import re
 import shutil
+import struct
 
 import pytest
 
 from repro.observability import get_registry, render_prometheus
 from repro.rdf import Graph, Literal, URIRef
 from repro.storage import (
-    DiskBackend,
     MemoryBackend,
     PagedBackend,
     detect_engine,
@@ -117,6 +119,35 @@ class TestRunFormat:
         reader.verify()
         reader.close()
 
+    def test_sections_match_a_reference_encoding(self, tmp_path):
+        """The C-level writer emits exactly the records and fence keys
+        of a plain loop over the sorted permutations."""
+        rng = random.Random(5)
+        keys = {
+            (rng.randrange(900), rng.randrange(9), rng.randrange(5000))
+            for _ in range(3 * RECORDS_PER_BLOCK)
+        }
+        entries = [key + (rng.choice((0, 1, 1)),) for key in sorted(keys)]
+        path = tmp_path / "run-000001.run"
+        write_run(path, seq=1, level=1, entries=entries)
+        blob = path.read_bytes()
+        record, fence = struct.Struct("<IIIB3x"), struct.Struct("<III")
+        orders = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+        reader = RunReader(path, BlockCache(4))
+        for section, order in zip(reader._sections, orders):
+            rows = sorted(
+                tuple(entry[i] for i in order) + (entry[3],) for entry in entries
+            )
+            data = b"".join(record.pack(*row) for row in rows)
+            fences = b"".join(
+                fence.pack(*row[:3]) for row in rows[::RECORDS_PER_BLOCK]
+            )
+            fence_end = section.fence_offset + len(fences)
+            assert blob[section.offset : section.fence_offset] == data
+            assert blob[section.fence_offset : fence_end] == fences
+            assert section.distinct == len({row[0] for row in rows})
+        reader.close()
+
     def test_corruption_fails_crc(self, tmp_path):
         path = self.write(tmp_path)
         blob = bytearray(path.read_bytes())
@@ -210,6 +241,49 @@ class TestBlockCache:
         assert "repro_storage_page_cache_blocks" in text
 
 
+class TestRowCache:
+    """Short run ranges are served decoded from the probe's row cache;
+    it must never answer from a run set or tombstone set that changed."""
+
+    def test_cached_rows_follow_tombstones_and_new_runs(self, tmp_path):
+        graph = populated_paged_graph(str(tmp_path / "s"), n=30, sync="none")
+        backend = graph.backend
+        backend.checkpoint()
+        s0 = URIRef(f"{EX}s0")
+
+        def rows():
+            return sorted(map(tuple, graph.triples((s0, None, None))), key=repr)
+
+        before = rows()
+        assert before
+        assert rows() == before  # the second read is served cached
+        # A delete of a run triple is a tombstone, masked on the next
+        # read even though the range is cached.
+        graph.remove(*before[0])
+        assert rows() == before[1:]
+        assert before[0] not in graph
+        # New data in the cached range, checkpointed into a second run.
+        fresh = (s0, URIRef(f"{EX}p9"), Literal("fresh"))
+        graph.add(*fresh)
+        backend.checkpoint()
+        assert len(backend.runs) == 2
+        assert rows() == sorted(before[1:] + [fresh], key=repr)
+        graph.close()
+
+    def test_row_cache_is_bounded_by_the_block_cache(self, tmp_path):
+        backend = PagedBackend(str(tmp_path / "s"), sync="none", cache_blocks=1)
+        graph = Graph(backend=backend)
+        graph.add_all(triple(i) for i in range(2 * RECORDS_PER_BLOCK))
+        backend.checkpoint()
+        probe = backend.probe()
+        for i in range(2 * RECORDS_PER_BLOCK):
+            s, p, o = (backend.term_ids[t] for t in triple(i))
+            assert probe.contains(s, p, o)
+            assert list(probe.scan(None, p, o)) == [(s, p, o)]
+        assert 0 < probe._rows_held <= RECORDS_PER_BLOCK
+        graph.close()
+
+
 class TestCompaction:
     def make_backend(self, tmp_path, **kwargs) -> PagedBackend:
         kwargs.setdefault("sync", "none")
@@ -300,32 +374,68 @@ class TestCompaction:
 class TestEngineDispatch:
     def test_detect_and_open(self, tmp_path):
         paged_dir = str(tmp_path / "paged")
-        disk_dir = str(tmp_path / "disk")
         populated_paged_graph(paged_dir, n=5, sync="none").close()
-        disk_graph = Graph(backend=DiskBackend(disk_dir, sync="none"))
-        disk_graph.add(*triple(1))
-        disk_graph.close()
         assert detect_engine(paged_dir) == "paged"
-        assert detect_engine(disk_dir) == "disk"
         assert detect_engine(str(tmp_path / "missing")) is None
-        for directory, kind in ((paged_dir, "paged"), (disk_dir, "disk")):
-            backend = open_backend(directory, sync="none")
-            assert backend.kind == kind
-            backend.close()
+        backend = open_backend(paged_dir, sync="none")
+        assert backend.kind == "paged"
+        backend.close()
         with open_store(paged_dir, sync="none") as graph:
             assert len(graph) == 5
+        # A fresh directory becomes a paged store.
+        with open_store(str(tmp_path / "fresh"), sync="none") as graph:
+            assert graph.backend.kind == "paged"
+        assert detect_engine(str(tmp_path / "fresh")) == "paged"
 
-    def test_engine_conflict_is_rejected(self, tmp_path):
-        directory = str(tmp_path / "store")
-        populated_paged_graph(directory, n=3, sync="none").close()
-        with pytest.raises(StorageError):
-            open_backend(directory, engine="disk", sync="none")
-        with pytest.raises(SnapshotMismatch):
-            DiskBackend(directory, sync="none")
+    def test_engine_conflict_is_rejected(self, tmp_path, capsys):
+        """A store left by the retired disk engine (manifest format 1)
+        is refused loudly by every entry point — naming the engine —
+        and never overwritten by a fresh paged store."""
+        from repro.cli import main
+
+        directory = tmp_path / "old"
+        directory.mkdir()
+        manifest = json.dumps(
+            {"format": 1, "store_id": "0" * 32, "segments": [],
+             "next_segment": 1, "opens": 3},
+            indent=2, sort_keys=True,
+        )
+        (directory / "MANIFEST.json").write_text(manifest, "utf-8")
+        (directory / "store.wal").write_bytes(b"")
+        entry_points = (
+            lambda: detect_engine(str(directory)),
+            lambda: open_backend(str(directory), sync="none"),
+            lambda: open_store(str(directory), sync="none"),
+            lambda: PagedBackend(str(directory), sync="none"),
+            lambda: verify_store(str(directory)),
+        )
+        for entry_point in entry_points:
+            with pytest.raises(SnapshotMismatch) as excinfo:
+                entry_point()
+            assert "retired disk engine" in str(excinfo.value)
+            assert excinfo.value.details()["code"] == "snapshot_mismatch"
+        for command in ("info", "verify"):
+            assert main(["store", command, str(directory)]) == 1
+            captured = capsys.readouterr()
+            payload = json.loads(captured.err.split("error:", 1)[1])
+            assert payload["code"] == "snapshot_mismatch"
+            assert "retired disk engine" in payload["message"]
+        # Nothing was created on top of the old store.
+        assert (directory / "MANIFEST.json").read_text("utf-8") == manifest
+        assert sorted(p.name for p in directory.iterdir()) == [
+            "MANIFEST.json", "store.wal",
+        ]
 
     def test_unknown_engine_is_rejected(self, tmp_path):
-        with pytest.raises(StorageError):
-            open_backend(str(tmp_path / "s"), engine="granite")
+        directory = tmp_path / "s"
+        directory.mkdir()
+        (directory / "MANIFEST.json").write_text(
+            json.dumps({"format": 9, "engine": "granite"}), "utf-8"
+        )
+        for entry_point in (detect_engine, open_backend, verify_store):
+            with pytest.raises(SnapshotMismatch) as excinfo:
+                entry_point(str(directory))
+            assert "granite" in str(excinfo.value)
 
     def test_copy_state_both_directions(self, tmp_path):
         from repro.storage.backend import copy_state
@@ -408,22 +518,6 @@ class TestVerifyStore:
         assert report["ok"] is False
         assert report["failure"]["file"] == "store.wal"
 
-    def test_disk_store_verifies_too(self, tmp_path):
-        directory = str(tmp_path / "store")
-        graph = Graph(backend=DiskBackend(directory, sync="none"))
-        graph.add_all(triple(i) for i in range(8))
-        graph.backend.compact()  # fold the WAL into a segment
-        graph.close()
-        report = verify_store(directory)
-        assert report["ok"] is True and report["engine"] == "disk"
-        segment = next(pathlib.Path(directory).glob("seg-*.seg"))
-        blob = bytearray(segment.read_bytes())
-        blob[20] ^= 0xFF
-        segment.write_bytes(bytes(blob))
-        report = verify_store(directory)
-        assert report["ok"] is False
-        assert report["failure"]["file"] == segment.name
-
     def test_missing_store_raises(self, tmp_path):
         with pytest.raises(StorageError):
             verify_store(str(tmp_path / "nope"))
@@ -438,7 +532,6 @@ class TestProbeSourceLint:
     ALLOWED = {
         pathlib.PurePosixPath("repro/rdf/graph.py"),
         pathlib.PurePosixPath("repro/storage/backend.py"),
-        pathlib.PurePosixPath("repro/storage/disk.py"),
         pathlib.PurePosixPath("repro/storage/paged.py"),
         pathlib.PurePosixPath("repro/storage/probe.py"),
     }

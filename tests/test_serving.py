@@ -11,8 +11,10 @@ doubles as the CI serving gate.
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
+import time
 from urllib.error import HTTPError
 from urllib.request import Request, urlopen
 
@@ -197,6 +199,25 @@ class TestEndToEndServing:
         status, telemetry, _ = _request(f"{base}/metrics.json")
         assert status == 200
         assert telemetry["serving"]["plan_cache"]["entries"] >= 1
+
+    def test_keep_alive_responses_are_not_delayed(self, server):
+        """Headers and body leave in one write, so a keep-alive client
+        never waits on Nagle's algorithm (~40 ms per response when the
+        body trailed the headers in a second segment)."""
+        connection = http.client.HTTPConnection(
+            server.config.host, server.port, timeout=30
+        )
+        try:
+            started = time.perf_counter()
+            for _ in range(20):
+                connection.request("GET", "/datasets")
+                response = connection.getresponse()
+                assert response.status == 200
+                json.loads(response.read())
+            elapsed = time.perf_counter() - started
+        finally:
+            connection.close()
+        assert elapsed < 0.3, f"20 keep-alive requests took {elapsed:.3f}s"
 
 
 class TestDispatch:

@@ -1,13 +1,14 @@
-"""The persistent storage subsystem: WAL, segments, recovery, bulk load.
+"""The persistent storage subsystem: WAL, runs, recovery, bulk load.
 
-The durability contract under test: every committed graph mutation
-survives a process crash at *any* byte boundary — the write-ahead log
-replays complete records and silently truncates a torn tail, while a
-genuinely corrupt record (bad CRC mid-log) refuses to open with a
-machine-readable :class:`WALCorruption`.  Segments carry a footer with
-counts and predicate statistics that are re-verified on every load, so
-a tampered or bit-rotten snapshot fails loudly as
-:class:`SnapshotMismatch` instead of silently mis-planning queries.
+The durability contract under test, on the paged engine: every
+committed graph mutation survives a process crash at *any* byte
+boundary — the write-ahead log replays complete records and silently
+truncates a torn tail, while a genuinely corrupt record (bad CRC
+mid-log) refuses to open with a machine-readable
+:class:`WALCorruption`.  Run and term-bank files carry magic bytes and
+a JSON footer read on every open, so a tampered, truncated or missing
+file fails loudly as :class:`SnapshotMismatch` instead of silently
+mis-planning queries (``repro store verify`` re-checks their CRCs).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import shutil
 import struct
 
 import pytest
@@ -22,8 +24,8 @@ import pytest
 from repro.rdf import BNode, Graph, Literal, URIRef
 from repro.storage import (
     BACKEND_ENV_VAR,
-    DiskBackend,
     MemoryBackend,
+    PagedBackend,
     SnapshotMismatch,
     StorageError,
     WALCorruption,
@@ -53,12 +55,24 @@ def triple(i: int):
     )
 
 
-def populated_disk_graph(directory: str, n: int = 40, **kwargs) -> Graph:
+def populated_store_graph(directory: str, n: int = 40, **kwargs) -> Graph:
     kwargs.setdefault("sync", "always")
-    graph = Graph(backend=DiskBackend(directory, **kwargs))
+    graph = Graph(backend=PagedBackend(directory, **kwargs))
     for i in range(n):
         graph.add(*triple(i))
     return graph
+
+
+def crash_image(graph: Graph, directory: str, image: pathlib.Path) -> str:
+    """Copy a live store as a crash would leave it, then close it.
+
+    A clean close checkpoints and empties the WAL; the copy keeps the
+    WAL tail that a killed process leaves behind.
+    """
+    graph.flush()
+    shutil.copytree(directory, image)
+    graph.close()
+    return str(image)
 
 
 class TestTermCodec:
@@ -119,10 +133,10 @@ class TestRecordScanner:
         assert scanner.error is not None
 
 
-class TestDiskBackendRoundTrip:
+class TestPagedBackendRoundTrip:
     def test_reopen_restores_triples_terms_and_stats(self, tmp_path):
         directory = str(tmp_path / "store")
-        graph = populated_disk_graph(directory, n=40)
+        graph = populated_store_graph(directory, n=40)
         graph.remove(*triple(0))
         expected = sorted(graph.triples(), key=repr)
         predicates = [URIRef(f"{EX}p{i}") for i in range(3)]
@@ -131,7 +145,7 @@ class TestDiskBackendRoundTrip:
         }
         graph.close()
 
-        reopened = Graph(backend=DiskBackend(directory, sync="none"))
+        reopened = Graph(backend=PagedBackend(directory, sync="none"))
         assert sorted(reopened.triples(), key=repr) == expected
         for p in predicates:
             assert reopened.predicate_stats(p).as_tuple() == expected_stats[p]
@@ -142,27 +156,34 @@ class TestDiskBackendRoundTrip:
 
     def test_term_ids_are_stable_across_reopen(self, tmp_path):
         directory = str(tmp_path / "store")
-        graph = populated_disk_graph(directory, n=12)
+        graph = populated_store_graph(directory, n=12)
         ids_before = dict(graph.backend.term_ids)
         graph.close()
-        reopened = DiskBackend(directory, sync="none")
-        assert dict(reopened.term_ids) == ids_before
+        reopened = PagedBackend(directory, sync="none")
+        # Reopened over term banks: ids resolve lazily, both directions.
+        assert len(reopened.term_ids) == len(ids_before)
+        assert {term: reopened.term_ids[term] for term in ids_before} == (
+            ids_before
+        )
+        assert {reopened.term_list[tid]: tid for tid in ids_before.values()} == (
+            ids_before
+        )
         reopened.close()
 
     def test_clear_persists(self, tmp_path):
         directory = str(tmp_path / "store")
-        graph = populated_disk_graph(directory, n=10)
+        graph = populated_store_graph(directory, n=10)
         graph.clear()
         graph.add(*triple(99))
         graph.close()
-        reopened = Graph(backend=DiskBackend(directory, sync="none"))
+        reopened = Graph(backend=PagedBackend(directory, sync="none"))
         assert len(reopened) == 1
         assert triple(99) in reopened
         reopened.close()
 
     def test_missing_store_without_create(self, tmp_path):
         with pytest.raises(StorageError) as excinfo:
-            DiskBackend(str(tmp_path / "nope"), create=False)
+            PagedBackend(str(tmp_path / "nope"), create=False)
         assert excinfo.value.code == "storage_error"
         assert "nope" in excinfo.value.details()["directory"]
 
@@ -170,7 +191,7 @@ class TestDiskBackendRoundTrip:
         directory = str(tmp_path / "store")
         with open_store(directory, sync="none") as graph:
             graph.add(*triple(1))
-        backend = DiskBackend(directory, sync="none")
+        backend = PagedBackend(directory, sync="none")
         assert backend.size == 1
         backend.close()
 
@@ -180,21 +201,21 @@ class TestWALRecovery:
         """Satellite 3: a crash mid-write of the final WAL record must
         reopen to exactly the last fully-committed state, with no
         partial triples, for *every* possible torn-tail length."""
-        directory = str(tmp_path / "store")
-        graph = populated_disk_graph(directory, n=5)
+        live = str(tmp_path / "live")
+        graph = populated_store_graph(live, n=5)
         committed = sorted(graph.triples(), key=repr)
-        wal_path = pathlib.Path(directory) / "store.wal"
-        base_size = wal_path.stat().st_size
+        base_size = (pathlib.Path(live) / "store.wal").stat().st_size
         # One more committed mutation: the record we will tear.
         graph.add(*triple(999))
-        graph.close()
+        directory = crash_image(graph, live, tmp_path / "store")
+        wal_path = pathlib.Path(directory) / "store.wal"
         full = wal_path.read_bytes()
         last_record = full[base_size:]
         assert last_record, "the final add must have produced WAL bytes"
 
         for cut in range(len(last_record)):
             wal_path.write_bytes(full[: base_size + cut])
-            backend = DiskBackend(directory, sync="none")
+            backend = PagedBackend(directory, sync="none")
             reopened = Graph(backend=backend)
             assert sorted(reopened.triples(), key=repr) == committed, (
                 f"torn tail of {cut} bytes must replay to committed state"
@@ -212,21 +233,21 @@ class TestWALRecovery:
             wal_path.write_bytes(full)
 
         # And the untouched full WAL replays the final triple.
-        backend = DiskBackend(directory, sync="none")
+        backend = PagedBackend(directory, sync="none")
         assert triple(999) in Graph(backend=backend)
         backend.close()
 
     def test_interior_corruption_is_wal_corruption(self, tmp_path):
-        directory = str(tmp_path / "store")
-        graph = populated_disk_graph(directory, n=8)
-        graph.close()
+        live = str(tmp_path / "live")
+        graph = populated_store_graph(live, n=8)
+        directory = crash_image(graph, live, tmp_path / "store")
         wal_path = pathlib.Path(directory) / "store.wal"
         blob = bytearray(wal_path.read_bytes())
         assert len(blob) > 20
         blob[10] ^= 0xFF  # inside the first record, not the tail
         wal_path.write_bytes(bytes(blob))
         with pytest.raises(WALCorruption) as excinfo:
-            DiskBackend(directory, sync="none")
+            PagedBackend(directory, sync="none")
         error = excinfo.value
         assert error.code == "wal_corruption"
         details = error.details()
@@ -234,69 +255,75 @@ class TestWALRecovery:
         assert isinstance(details["offset"], int)
 
     def test_absurd_record_length_is_corruption(self, tmp_path):
-        directory = str(tmp_path / "store")
-        graph = populated_disk_graph(directory, n=3)
-        graph.close()
+        live = str(tmp_path / "live")
+        graph = populated_store_graph(live, n=3)
+        directory = crash_image(graph, live, tmp_path / "store")
         wal_path = pathlib.Path(directory) / "store.wal"
         bogus = struct.pack("<II", 0x7FFFFFFF, 0) + b"x" * 64
         wal_path.write_bytes(bogus + wal_path.read_bytes())
         with pytest.raises(WALCorruption):
-            DiskBackend(directory, sync="none")
+            PagedBackend(directory, sync="none")
 
 
 class TestSnapshotVerification:
     def test_tampered_segment_is_snapshot_mismatch(self, tmp_path):
         directory = str(tmp_path / "store")
-        graph = populated_disk_graph(directory, n=30)
-        graph.backend.compact()
+        graph = populated_store_graph(directory, n=30)
         graph.close()
-        segments = sorted(pathlib.Path(directory).glob("*.seg"))
-        assert segments
-        blob = bytearray(segments[-1].read_bytes())
-        blob[len(blob) // 2] ^= 0xFF
-        segments[-1].write_bytes(bytes(blob))
-        with pytest.raises((SnapshotMismatch, WALCorruption)) as excinfo:
-            DiskBackend(directory, sync="none")
-        assert excinfo.value.code in ("snapshot_mismatch", "wal_corruption")
+        run = sorted(pathlib.Path(directory).glob("run-*.run"))[-1]
+        blob = bytearray(run.read_bytes())
+        # Damage the JSON footer every open reads (the 12 trailing
+        # bytes are its length and the tail magic).
+        blob[len(blob) - 14] ^= 0xFF
+        run.write_bytes(bytes(blob))
+        with pytest.raises(SnapshotMismatch) as excinfo:
+            PagedBackend(directory, sync="none")
+        assert excinfo.value.code == "snapshot_mismatch"
+        assert excinfo.value.details()["segment"] == run.name
 
     def test_bad_magic_is_snapshot_mismatch(self, tmp_path):
         directory = str(tmp_path / "store")
-        graph = populated_disk_graph(directory, n=5)
-        graph.backend.compact()
+        graph = populated_store_graph(directory, n=5)
         graph.close()
-        segment = sorted(pathlib.Path(directory).glob("*.seg"))[-1]
-        blob = bytearray(segment.read_bytes())
-        blob[0] ^= 0xFF
-        segment.write_bytes(bytes(blob))
-        with pytest.raises(SnapshotMismatch) as excinfo:
-            DiskBackend(directory, sync="none")
-        assert excinfo.value.code == "snapshot_mismatch"
-        assert excinfo.value.details()["segment"]
+        for pattern in ("run-*.run", "terms-*.tb"):
+            segment = sorted(pathlib.Path(directory).glob(pattern))[-1]
+            original = segment.read_bytes()
+            blob = bytearray(original)
+            blob[0] ^= 0xFF
+            segment.write_bytes(bytes(blob))
+            with pytest.raises(SnapshotMismatch) as excinfo:
+                PagedBackend(directory, sync="none")
+            assert excinfo.value.code == "snapshot_mismatch"
+            assert excinfo.value.details()["segment"] == segment.name
+            segment.write_bytes(original)
 
     def test_missing_segment_file(self, tmp_path):
         directory = str(tmp_path / "store")
-        graph = populated_disk_graph(directory, n=5)
-        graph.backend.compact()
+        graph = populated_store_graph(directory, n=5)
         graph.close()
-        for segment in pathlib.Path(directory).glob("*.seg"):
+        for segment in pathlib.Path(directory).glob("run-*.run"):
             segment.unlink()
-        with pytest.raises(StorageError):
-            DiskBackend(directory, sync="none")
+        with pytest.raises(SnapshotMismatch):
+            PagedBackend(directory, sync="none")
 
 
 class TestCompactionAndSnapshot:
     def test_compaction_folds_wal_into_segment(self, tmp_path):
         directory = str(tmp_path / "store")
-        graph = populated_disk_graph(directory, n=25)
+        graph = populated_store_graph(directory, n=25)
+        graph.backend.checkpoint()
+        # A delete of a checkpointed triple leaves a tombstone behind.
         graph.remove(*triple(3))
         expected = sorted(graph.triples(), key=repr)
         wal_path = pathlib.Path(directory) / "store.wal"
         assert wal_path.stat().st_size > 0
-        segment = graph.backend.compact()
-        assert segment.exists()
+        assert graph.backend.compact().exists()
         assert wal_path.stat().st_size == 0
+        info = graph.backend.describe()
+        assert info["segments"] == 1
+        assert info["segments_detail"][0]["tombstones"] == 0
         graph.close()
-        reopened = Graph(backend=DiskBackend(directory, sync="none"))
+        reopened = Graph(backend=PagedBackend(directory, sync="none"))
         assert sorted(reopened.triples(), key=repr) == expected
         assert reopened.backend.describe()["compactions"] == 1
         reopened.close()
@@ -304,20 +331,20 @@ class TestCompactionAndSnapshot:
     def test_snapshot_is_an_independent_store(self, tmp_path):
         source_dir = str(tmp_path / "source")
         dest_dir = str(tmp_path / "dest")
-        graph = populated_disk_graph(source_dir, n=15)
+        graph = populated_store_graph(source_dir, n=15)
         expected = sorted(graph.triples(), key=repr)
         graph.backend.snapshot(dest_dir)
         # Diverge the source after the snapshot.
         graph.add(*triple(777))
         graph.close()
-        restored = Graph(backend=DiskBackend(dest_dir, sync="none"))
+        restored = Graph(backend=PagedBackend(dest_dir, sync="none"))
         assert sorted(restored.triples(), key=repr) == expected
         assert triple(777) not in restored
         restored.close()
 
     def test_snapshot_refuses_existing_store(self, tmp_path):
         source_dir = str(tmp_path / "source")
-        graph = populated_disk_graph(source_dir, n=3)
+        graph = populated_store_graph(source_dir, n=3)
         with pytest.raises(StorageError):
             graph.backend.snapshot(source_dir)
         graph.close()
@@ -361,10 +388,10 @@ class TestBulkLoader:
     def test_load_triples_then_reopen(self, tmp_path):
         directory = str(tmp_path / "bulk")
         triples = [triple(i) for i in range(2000)]
-        report = bulk_load_triples(triples, directory, batch_size=256)
+        report = bulk_load_triples(triples, directory)
         assert report["triples_loaded"] == 2000
         assert report["triples_per_second"] > 0
-        graph = Graph(backend=DiskBackend(directory, sync="none"))
+        graph = Graph(backend=PagedBackend(directory, sync="none"))
         assert len(graph) == 2000
         assert sorted(graph.triples(), key=repr) == sorted(triples, key=repr)
         # Bulk load must produce the same stats as incremental adds.
@@ -387,7 +414,7 @@ class TestBulkLoader:
         directory = str(tmp_path / "bulk")
         report = bulk_load_ntriples(str(nt_path), directory)
         assert report["triples_loaded"] == 120
-        graph = Graph(backend=DiskBackend(directory, sync="none"))
+        graph = Graph(backend=PagedBackend(directory, sync="none"))
         assert sorted(graph.triples(), key=repr) == sorted(
             source.triples(), key=repr
         )
@@ -406,19 +433,22 @@ class TestBackendSelection:
         assert Graph().backend.kind == "memory"
         assert backend_from_env().kind == "memory"
 
-    def test_env_selects_disk_scratch(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "disk-scratch")
+    def test_env_selects_paged_scratch(self, monkeypatch):
+        monkeypatch.setenv(BACKEND_ENV_VAR, "paged-scratch")
         graph = Graph()
-        assert graph.backend.kind == "disk"
+        assert graph.backend.kind == "paged"
         assert graph.backend.durable
         graph.add(*triple(1))
         assert len(graph) == 1
         graph.close()
 
     def test_unknown_backend_rejected(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "floppy")
-        with pytest.raises(StorageError):
-            backend_from_env()
+        # A bare engine name no longer steers anything: only 'memory'
+        # and 'paged-scratch' are accepted.
+        for mode in ("floppy", "paged"):
+            monkeypatch.setenv(BACKEND_ENV_VAR, mode)
+            with pytest.raises(StorageError):
+                backend_from_env()
 
 
 class TestGraphCopySemantics:
@@ -435,16 +465,16 @@ class TestGraphCopySemantics:
         bulk.add_all(triples)
         copied = incremental.copy()
         union = Graph() + incremental
-        disk = populated_disk_graph(str(tmp_path / "store"), n=0)
-        disk.add_all(triples)
-        disk.close()
-        reopened = Graph(backend=DiskBackend(str(tmp_path / "store"), sync="none"))
+        durable = populated_store_graph(str(tmp_path / "store"), n=0)
+        durable.add_all(triples)
+        durable.close()
+        reopened = Graph(backend=PagedBackend(str(tmp_path / "store"), sync="none"))
         graphs = {
             "incremental": incremental,
             "bulk": bulk,
             "copy": copied,
             "union": union,
-            "reopened-disk": reopened,
+            "reopened-paged": reopened,
         }
         for i in range(3):
             p = URIRef(f"{EX}p{i}")
@@ -454,12 +484,12 @@ class TestGraphCopySemantics:
         reopened.close()
 
     def test_copy_of_disk_graph_is_memory_and_independent(self, tmp_path):
-        disk = populated_disk_graph(str(tmp_path / "store"), n=10)
-        clone = disk.copy()
+        stored = populated_store_graph(str(tmp_path / "store"), n=10)
+        clone = stored.copy()
         assert clone.backend.kind == "memory"
         clone.add(*triple(500))
-        assert len(clone) == len(disk) + 1
-        disk.close()
+        assert len(clone) == len(stored) + 1
+        stored.close()
 
 
 class TestStoreCLI:
@@ -484,13 +514,13 @@ class TestStoreCLI:
         assert self.run_cli("store", "info", store_dir) == 0
         info = json.loads(capsys.readouterr().out)
         assert info["triples"] == 200
-        assert info["kind"] == "disk"
+        assert info["kind"] == "paged"
 
         assert self.run_cli("store", "compact", store_dir) == 0
         capsys.readouterr()
         assert self.run_cli("store", "snapshot", store_dir, snap_dir) == 0
         capsys.readouterr()
-        graph = Graph(backend=DiskBackend(snap_dir, sync="none"))
+        graph = Graph(backend=PagedBackend(snap_dir, sync="none"))
         assert len(graph) == 200
         graph.close()
 
@@ -510,7 +540,7 @@ class TestStorageMetrics:
             "repro_storage_wal_fsyncs_total",
             "repro_storage_open_backends",
             "repro_storage_recoveries_total",
-            "repro_storage_segment_write_seconds",
+            "repro_storage_checkpoints_total",
             "repro_storage_compactions_total",
             "repro_storage_snapshots_total",
             "repro_storage_bulk_load_triples_total",
@@ -522,7 +552,7 @@ class TestStorageMetrics:
         from repro.observability import get_registry
 
         directory = str(tmp_path / "store")
-        graph = populated_disk_graph(directory, n=4)
+        graph = populated_store_graph(directory, n=4)
         graph.close()
         registry = get_registry()
         before = registry.counter(
@@ -530,7 +560,7 @@ class TestStorageMetrics:
             "Store opens by recovery outcome.",
             labels=("outcome",),
         ).labels(outcome="clean").value
-        backend = DiskBackend(directory, sync="none")
+        backend = PagedBackend(directory, sync="none")
         backend.close()
         after = registry.counter(
             "repro_storage_recoveries_total",

@@ -1,10 +1,10 @@
 """Differential testing of the storage backends (E6/E16/E22).
 
-A durable graph — disk segments or paged sorted runs — must be
+A durable graph — paged sorted runs behind a WAL — must be
 *indistinguishable* from the in-memory one at the query layer:
 identical planned and naive results, identical stats-driven join
 orders, identical serialized bytes — on a freshly written store, and
-again after close + reopen (segments + WAL replay).  The paged engine
+again after close + reopen (runs + WAL replay).  The paged engine
 additionally proves crash safety at *every* WAL byte boundary.  The
 annotation repository and the durable serving tier get the same
 treatment: warm annotations and registered views must survive a
@@ -25,9 +25,10 @@ from repro.annotation import AnnotationStore
 from repro.rdf import Graph, Literal, Q, URIRef
 from repro.rdf.lsid import uniprot_lsid
 from repro.rdf.sparql import explain, reset_plan_cache
-from repro.storage import DiskBackend, MemoryBackend, PagedBackend
+from repro.storage import MemoryBackend, PagedBackend
 
-DURABLE_BACKENDS = {"disk": DiskBackend, "paged": PagedBackend}
+#: The durable engines the memory oracle is compared against.
+DURABLE_BACKENDS = {"paged": PagedBackend}
 
 
 def durable_backend(engine: str, directory: str, sync: str = "none"):
@@ -88,7 +89,7 @@ def fresh_cache():
     reset_plan_cache()
 
 
-@pytest.fixture(params=["memory", "disk", "paged"])
+@pytest.fixture(params=["memory", "paged"])
 def make_graph(request, tmp_path):
     """A factory for backend-parametrized graphs (closed at teardown)."""
     opened = []
@@ -121,7 +122,7 @@ class TestQueryParityAcrossBackends:
             naive = graph.query(query, use_planner=False)
             assert solutions(planned) == solutions(naive), query
 
-    @pytest.mark.parametrize("engine", ["disk", "paged"])
+    @pytest.mark.parametrize("engine", sorted(DURABLE_BACKENDS))
     @pytest.mark.parametrize("seed", range(4))
     def test_durable_matches_memory_byte_for_byte(
         self, tmp_path, seed, engine
@@ -140,7 +141,7 @@ class TestQueryParityAcrossBackends:
             ), query
         durable.close()
 
-    @pytest.mark.parametrize("engine", ["disk", "paged"])
+    @pytest.mark.parametrize("engine", sorted(DURABLE_BACKENDS))
     @pytest.mark.parametrize("seed", range(4))
     def test_reopened_store_answers_identically(
         self, tmp_path, seed, engine
@@ -172,11 +173,11 @@ class TestQueryParityAcrossBackends:
             assert (planned, naive) == before[query], query
         reopened.close()
 
-    @pytest.mark.parametrize("engine", ["disk", "paged"])
+    @pytest.mark.parametrize("engine", sorted(DURABLE_BACKENDS))
     def test_join_order_survives_reopen(self, tmp_path, engine):
         """plan.py reads live predicate stats through the probe; the
         persisted stats must reproduce the same greedy join order
-        after a restart on either durable engine."""
+        after a restart on the durable engine."""
         directory = str(tmp_path / "store")
         graph = Graph(
             backend=durable_backend(engine, directory, sync="always")
@@ -276,7 +277,7 @@ class TestAnnotationStoreParity:
     def test_durable_store_answers_like_memory(self, tmp_path):
         memory = AnnotationStore("mem")
         durable = AnnotationStore(
-            "disk", directory=str(tmp_path / "repo"), sync="none"
+            "durable", directory=str(tmp_path / "repo"), sync="none"
         )
         assert not memory.durable and durable.durable
         self.annotate_all(memory)

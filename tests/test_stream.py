@@ -881,10 +881,10 @@ class TestStreamCli:
         assert "verification: 3/3 byte-equal" in output
 
     def test_store_info_lists_cursors(self, tmp_path):
-        from repro.storage import CursorFile, DiskBackend
+        from repro.storage import CursorFile, PagedBackend
 
         directory = tmp_path / "store"
-        backend = DiskBackend(str(directory))
+        backend = PagedBackend(str(directory))
         backend.close()
         CursorFile(directory, "tail").save({"seq": 41, "stream": "tail"})
         (directory / "stream-broken.cursor").write_text("garbage")
