@@ -17,6 +17,9 @@ import random
 import re
 import shutil
 import struct
+import sys
+import threading
+import time
 
 import pytest
 
@@ -268,6 +271,63 @@ class TestRowCache:
         backend.checkpoint()
         assert len(backend.runs) == 2
         assert rows() == sorted(before[1:] + [fresh], key=repr)
+        graph.close()
+
+    def test_concurrent_scans_across_auto_checkpoints(self, tmp_path):
+        """Readers scanning under the graph lock while a writer's
+        commits auto-checkpoint (replacing the run list) never see a
+        stale row-cache answer."""
+        backend = PagedBackend(
+            str(tmp_path / "s"), sync="none", checkpoint_bytes=2048
+        )
+        graph = Graph(backend=backend)
+        subjects = [URIRef(f"{EX}s{i}") for i in range(8)]
+        extra = URIRef(f"{EX}extra")
+        base = {
+            s: {(s, URIRef(f"{EX}p{j}"), Literal(j)) for j in range(4)}
+            for s in subjects
+        }
+        graph.add_all(t for triples in base.values() for t in triples)
+        backend.checkpoint()
+        stop = threading.Event()
+        failures = []
+
+        def write():
+            i = 0
+            while not stop.is_set():
+                triple = (subjects[i % 8], extra, Literal(i))
+                graph.add(*triple)
+                graph.remove(*triple)
+                i += 1
+
+        def read():
+            rng = random.Random(threading.get_ident())
+            while not stop.is_set():
+                s = rng.choice(subjects)
+                seen = set(map(tuple, graph.triples((s, None, None))))
+                if not base[s] <= seen or len(seen - base[s]) > 1:
+                    failures.append(sorted(seen, key=repr))
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threads = [threading.Thread(target=write)] + [
+            threading.Thread(target=read) for _ in range(4)
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            time.sleep(1.0)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=30)
+            sys.setswitchinterval(old_interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures[:3]
+        assert backend.manifest["checkpoints"] > 2
+        assert sorted(map(tuple, graph.triples()), key=repr) == sorted(
+            (t for triples in base.values() for t in triples), key=repr
+        )
         graph.close()
 
     def test_row_cache_is_bounded_by_the_block_cache(self, tmp_path):
