@@ -547,31 +547,36 @@ class PagedBackend(StorageBackend):
                 f"no store at {self.directory} (missing {MANIFEST_NAME})",
                 directory=str(self.directory),
             )
-        if self.manifest["term_banks"]:
-            # A reopened store resolves its banked terms on first use;
-            # a store without banks keeps every term in the inherited
-            # plain dict and list, exactly as the memory backend does.
-            self._banks = _TermBanks(
-                [
-                    TermBankReader(self.directory / entry["file"])
-                    for entry in self.manifest["term_banks"]
-                ]
-            )
-            self._banked_terms = self._banks.base
-            self.term_ids = _LazyTermIds(self._banks)  # type: ignore[assignment]
-            self.term_list = _LazyTermList(self._banks)  # type: ignore[assignment]
-        self.runs = [
-            RunReader(self.directory / entry["file"], self.cache)
+        banks: List[TermBankReader] = []
+        runs: List[RunReader] = []
+        try:
+            for entry in self.manifest["term_banks"]:
+                banks.append(TermBankReader(self.directory / entry["file"]))
+            if banks:
+                # A reopened store resolves its banked terms on first
+                # use; a store without banks keeps every term in the
+                # inherited plain dict and list, as the memory backend
+                # does.
+                self._banks = _TermBanks(banks)
+                self._banked_terms = self._banks.base
+                self.term_ids = _LazyTermIds(self._banks)  # type: ignore[assignment]
+                self.term_list = _LazyTermList(self._banks)  # type: ignore[assignment]
             for entry in sorted(
                 self.manifest["runs"], key=lambda item: int(item["seq"])
+            ):
+                runs.append(RunReader(self.directory / entry["file"], self.cache))
+            self.runs = runs
+            self.recovery["segments_loaded"] = len(self.runs)
+            self.pred_stats.update(
+                _load_pred_stats(self.manifest.get("pred_stats", {}))
             )
-        ]
-        self.recovery["segments_loaded"] = len(self.runs)
-        self.pred_stats.update(
-            _load_pred_stats(self.manifest.get("pred_stats", {}))
-        )
-        self.size = int(self.manifest.get("triples", 0))
-        self._replay_wal(self.directory / WAL_NAME)
+            self.size = int(self.manifest.get("triples", 0))
+            self._replay_wal(self.directory / WAL_NAME)
+        except BaseException:
+            # Release every file this open mapped before failing.
+            for reader in [*banks, *runs]:
+                reader.close()
+            raise
         self.manifest["opens"] = int(self.manifest.get("opens", 0)) + 1
         self._write_manifest()
         self._wal = WALWriter(

@@ -310,15 +310,35 @@ def _read_footer(
         ) from exc
 
 
-def _open_segment(path: pathlib.Path) -> BinaryIO:
-    """Open one run or bank file a manifest names; missing is a mismatch."""
+def _map_segment(
+    path: pathlib.Path, magic: bytes
+) -> Tuple[BinaryIO, "mmap.mmap | bytes", Dict[str, Any]]:
+    """Open and map one run or bank file and read its footer.
+
+    A missing file is a :class:`SnapshotMismatch` (the manifest names
+    it); on any failure nothing is left open.
+    """
     try:
-        return open(path, "rb")
+        handle = open(path, "rb")
     except FileNotFoundError as exc:
         raise SnapshotMismatch(
             f"{path.name} is named by the manifest but missing",
             segment=path.name,
         ) from exc
+    data: "mmap.mmap | bytes" = b""
+    try:
+        try:
+            data = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+        except (ValueError, OSError):
+            # Zero-length or mmap-hostile file: fall back to bytes (the
+            # footer check reports the real problem).
+            data = handle.read()
+        return handle, data, _read_footer(data, path, magic)
+    except BaseException:
+        if isinstance(data, mmap.mmap):
+            data.close()
+        handle.close()
+        raise
 
 
 class _Block:
@@ -386,16 +406,7 @@ class RunReader:
         self.path = path
         self.token = next(_reader_tokens)
         self._cache = cache
-        self._file = _open_segment(path)
-        try:
-            self._map: "mmap.mmap | bytes" = mmap.mmap(
-                self._file.fileno(), 0, access=mmap.ACCESS_READ
-            )
-        except (ValueError, OSError):
-            # Zero-length or mmap-hostile file: fall back to bytes (the
-            # footer check below reports the real problem).
-            self._map = self._file.read()
-        footer = _read_footer(self._map, path, RUN_MAGIC)
+        self._file, self._map, footer = _map_segment(path, RUN_MAGIC)
         self.seq = int(footer["seq"])
         self.level = int(footer["level"])
         self.records = int(footer["records"])
@@ -596,14 +607,7 @@ class TermBankReader:
 
     def __init__(self, path: pathlib.Path) -> None:
         self.path = path
-        self._file = _open_segment(path)
-        try:
-            self._map: "mmap.mmap | bytes" = mmap.mmap(
-                self._file.fileno(), 0, access=mmap.ACCESS_READ
-            )
-        except (ValueError, OSError):
-            self._map = self._file.read()
-        footer = _read_footer(self._map, path, BANK_MAGIC)
+        self._file, self._map, footer = _map_segment(path, BANK_MAGIC)
         self.base = int(footer["base"])
         self.count = int(footer["count"])
         self._offsets_offset = int(footer["offsets_offset"])
