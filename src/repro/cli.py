@@ -10,8 +10,8 @@ Commands:
   deltas and the wavefront schedule instead; ``--disable-pass NAME``
   switches individual passes off; ``--observed-outputs PORTS``
   restricts the output contract (arming filter pushdown / aggressive
-  evidence pruning); ``--no-optimize`` runs the single-shot reference
-  translation.
+  evidence pruning).  Disabling all four passes prints the plain
+  Sec. 6.1 translation.
 * ``demo [--spots N] [--seed S]`` — run the paper's Figure-7 experiment
   and print the significance-ratio table.
 * ``batch [--workers W] [--spots N]`` — drive the concurrent execution
@@ -98,11 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--explain", action="store_true",
         help="print the pass pipeline and per-pass IR deltas instead "
              "of the workflow XML",
-    )
-    compile_cmd.add_argument(
-        "--no-optimize", action="store_true",
-        help="use the single-shot reference translation (no IR, no "
-             "passes, no schedule annotation)",
     )
     compile_cmd.add_argument(
         "--disable-pass", action="append", default=[], metavar="NAME",
@@ -449,13 +444,6 @@ def _cmd_compile(args) -> int:
     from repro.qv.passes import CompileOptions
     from repro.workflow.scufl import workflow_to_xml
 
-    if args.no_optimize and (
-        args.disabled_passes or args.observed_outputs or args.explain
-    ):
-        print("error: --explain/--disable-pass/--observed-outputs "
-              "require the optimizing pipeline (drop --no-optimize)",
-              file=sys.stderr)
-        return 2
     framework = QuratorFramework()
     framework.register_standard_services()
     framework.deploy_annotation_service(
@@ -475,12 +463,9 @@ def _cmd_compile(args) -> int:
     )
     try:
         view = framework.quality_view(_read(args.file))
-        if args.no_optimize:
-            workflow = framework.compiler.compile(view.spec, optimize=False)
-        else:
-            workflow, report = framework.compiler.compile_with_report(
-                view.spec, options=options
-            )
+        workflow, report = framework.compiler.compile_with_report(
+            view.spec, options=options
+        )
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -56,15 +56,10 @@ class QualityView:
             known_repositories=set(self.framework.repositories.names()),
         )
 
-    def compile(
-        self,
-        force: bool = False,
-        optimize: bool = True,
-        options=None,
-    ) -> Workflow:
+    def compile(self, force: bool = False, options=None) -> Workflow:
         """Compile (and cache) the quality workflow for this view.
 
-        ``optimize`` / ``options`` are forwarded to
+        ``options`` is forwarded to
         :meth:`repro.qv.compiler.QVCompiler.compile`; pass
         ``options=CompileOptions(observed_outputs=...)`` (with
         ``force=True`` if already compiled) to unlock the
@@ -73,7 +68,7 @@ class QualityView:
         if self._workflow is None or force:
             try:
                 self._workflow = self.framework.compiler.compile(
-                    self.spec, optimize=optimize, options=options
+                    self.spec, options=options
                 )
             except ValueError as exc:
                 raise QuratorError(

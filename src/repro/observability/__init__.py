@@ -12,7 +12,7 @@ runtime-local objects:
   (names follow ``repro_<subsystem>_<name>[_unit]``);
 * :mod:`~repro.observability.spans` — hierarchical spans with
   parent/child links; context propagates across the runtime's thread
-  hops (worker pool, wavefront pool, iteration pool), and each trace's
+  hops (worker pool, wavefront pool), and each trace's
   root span accumulates exact per-job counts (the annotation-cache
   attribution rides on this);
 * :mod:`~repro.observability.events` — a structured JSON-lines event

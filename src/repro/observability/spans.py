@@ -5,9 +5,9 @@ a ``trace_id``), and the *current* span travels in a
 :class:`contextvars.ContextVar`.  Thread pools do **not** inherit
 context variables, so the concurrent layers — the wavefront
 :class:`repro.runtime.parallel.ParallelEnactor` submitting firing
-tasks, its iteration pool, and :class:`repro.runtime.service.ExecutionService`
-workers — capture :func:`current_span` at submission and re-activate
-it with :func:`use_span` inside the task.  That is what makes a
+tasks and :class:`repro.runtime.service.ExecutionService` workers —
+capture :func:`current_span` at submission and re-activate it with
+:func:`use_span` inside the task.  That is what makes a
 processor firing on a pool thread a *child* of the job span that
 queued it.
 

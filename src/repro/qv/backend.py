@@ -2,11 +2,12 @@
 
 Turns a pass-rewritten :class:`~repro.qv.ir.IRModule` into an
 executable :class:`~repro.workflow.model.Workflow`.  Emission follows
-the reference pipeline's rule order (annotators, one DE, QAs,
-consolidation, actions) so that with no pass firing the emitted
-topology — processor names, port wiring, consolidation slots, output
-ports — is identical to ``QVCompiler._compile_reference``.  Pass
-results change the picture only locally:
+the paper's Sec. 6.1 rule order (annotators, one DE, QAs,
+consolidation, actions), so with no pass firing the emitted topology
+— processor names, port wiring, consolidation slots, output ports —
+is the rule-by-rule translation that the golden Fig. 6 test in
+``tests/test_compiler_ir.py`` freezes.  Pass results change the
+picture only locally:
 
 * an :class:`~repro.qv.ir.IREnrichment` with a ``plan`` emits a
   :class:`BatchEnrichmentProcessor` walking the precomputed
@@ -70,10 +71,10 @@ FILTER_GATE = "FilterGate"
 class BatchEnrichmentProcessor(DataEnrichmentProcessor):
     """A DE executing the compile-time per-repository column plan.
 
-    Grouping and sweep order in ``plan`` replicate what the reference
-    processor derives on every firing, so results and repository
-    hit/miss accounting are identical; ``sources`` is kept for
-    introspection and structural compatibility.
+    Grouping and sweep order in ``plan`` replicate what the plain
+    :class:`DataEnrichmentProcessor` derives on every firing, so
+    results and repository hit/miss accounting are identical;
+    ``sources`` is kept for introspection and structural compatibility.
     """
 
     def __init__(

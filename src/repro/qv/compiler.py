@@ -20,16 +20,16 @@ The compiler follows the rules of paper Sec. 6.1 exactly:
 The compiled workflow has one input, ``dataSet`` (the item URIs), and
 outputs ``annotationMap`` plus one port per action group.
 
-Two compilation pipelines share this module's processor classes:
-
-* ``compile(spec, optimize=False)`` — the single-shot reference
-  translation below, rule by rule;
-* ``compile(spec)`` (the default) — the staged pipeline: frontend
-  lowering to a typed IR (:mod:`repro.qv.ir`), rewrite passes
-  (:mod:`repro.qv.passes`), and workflow emission
-  (:mod:`repro.qv.backend`).  With no pass firing it emits the same
-  topology as the reference; the differential suite pins byte-equal
-  outputs between the two.
+There is one compilation pipeline, and this module holds its entry
+point (:class:`QVCompiler`) and its processor classes: frontend
+lowering to a typed IR (:mod:`repro.qv.ir`), rewrite passes
+(:mod:`repro.qv.passes`), and workflow emission
+(:mod:`repro.qv.backend`).  With every pass disabled
+(:data:`repro.qv.passes.NO_PASSES`) the emitted workflow is the
+rule-by-rule translation above: a frozen golden test pins that plan
+for the Sec. 5.1 example view (paper Fig. 6), and the differential
+suites use it as the baseline the optimized plans must match
+byte-for-byte.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from repro.binding.registry import BindingRegistry
 from repro.ontology.iq_model import IQModel
 from repro.process.actions import DEFAULT_GROUP, FilterAction, SplitterAction
 from repro.qv.spec import ActionSpec, QualityViewSpec
-from repro.qv.validator import validate_quality_view
 from repro.rdf import Q, URIRef
 from repro.services.interface import AnnotationService, QualityAssertionService
 from repro.services.messages import DataSetMessage
@@ -83,8 +82,8 @@ def check_output_ports(spec: QualityViewSpec) -> None:
     become ``top_k``), so two distinct action or group names can claim
     the same workflow output port.  Without this check the second
     silently shadows the first (group ports within one action) or dies
-    with an unhelpful duplicate-output error (across actions).  Both
-    compilation pipelines run this check.
+    with an unhelpful duplicate-output error (across actions).  The
+    frontend runs this check before any processor is built.
     """
     claimed: Dict[str, Tuple[str, str]] = {}
     for action in spec.actions:
@@ -174,12 +173,12 @@ class DataEnrichmentProcessor(Processor):
 class AssertionProcessor(Processor):
     """A compiled QA: invokes the bound service with the view's config.
 
-    ``skip_on_empty`` is set by the optimizing backend on processors fed
-    from a filter gate: an empty (fully filtered) data set then skips
-    the service invocation entirely and contributes an empty map.  The
-    reference pipeline never sets it — a QA service invoked with an
-    empty data set operates on the whole input map, which is the wire
-    contract this flag must not change for ungated processors.
+    ``skip_on_empty`` is set by the backend on processors fed from a
+    filter gate: an empty (fully filtered) data set then skips the
+    service invocation entirely and contributes an empty map.  Ungated
+    processors never set it — a QA service invoked with an empty data
+    set operates on the whole input map, which is the wire contract
+    this flag must not change for them.
     """
 
     def __init__(
@@ -274,19 +273,8 @@ class ActionProcessor(Processor):
                 namespaces=namespaces,
             )
             groups = [g.group for g in action_spec.groups] + [DEFAULT_GROUP]
-        self.group_ports: Dict[str, str] = {}
-        for group in groups:
-            port = sanitize(group)
-            clash = next(
-                (g for g, p in self.group_ports.items() if p == port), None
-            )
-            if clash is not None:
-                raise CompilationError(
-                    f"action {action_spec.name!r}: groups {clash!r} and "
-                    f"{group!r} both sanitize to port name {port!r}; "
-                    f"rename one group"
-                )
-            self.group_ports[group] = port
+        # Port-name clashes were rejected by check_output_ports.
+        self.group_ports = {group: sanitize(group) for group in groups}
         output_ports = {port: 1 for port in self.group_ports.values()}
         output_ports["outcome"] = 1
         super().__init__(
@@ -325,7 +313,7 @@ class QVCompiler:
         #: Optional fingerprint-keyed cache of compiled plans (any
         #: object with ``get_or_compile(fingerprint, thunk)``, e.g.
         #: :class:`repro.serving.plans.PlanCache`).  When installed,
-        #: default-option optimizing compiles of signature-identical
+        #: default-option compiles of signature-identical
         #: views share one emitted workflow — the serving layer keys
         #: on this so N tenants registering the same view cost one
         #: compilation.
@@ -362,25 +350,16 @@ class QVCompiler:
         self,
         spec: QualityViewSpec,
         validate: bool = True,
-        optimize: bool = True,
         options: Optional["CompileOptions"] = None,
     ) -> Workflow:
         """Compile a validated view into a quality workflow.
 
-        ``optimize=True`` (the default) runs the staged pipeline —
-        frontend lowering, rewrite passes, backend emission — and
-        annotates the result with a wavefront schedule.
-        ``optimize=False`` runs the single-shot reference translation;
-        it accepts no ``options`` and serves as the differential
-        baseline for the optimizing pipeline.
+        Runs the staged pipeline — frontend lowering, rewrite passes,
+        backend emission — and annotates the result with a wavefront
+        schedule.  ``options`` switches passes off or arms the
+        observed-output passes; ``options=NO_PASSES`` yields the plain
+        Sec. 6.1 translation.
         """
-        if not optimize:
-            if options is not None:
-                raise CompilationError(
-                    "compilation options require optimize=True "
-                    "(the reference pipeline takes none)"
-                )
-            return self._compile_reference(spec, validate=validate)
         if self.plan_cache is not None and options is None and validate:
             # Only the default-option, validated pipeline is cacheable:
             # the fingerprint covers the view signature, not compile
@@ -410,7 +389,7 @@ class QVCompiler:
         renders it.
         """
         from repro.qv.backend import emit_workflow
-        from repro.qv.ir import lower_view
+        from repro.qv.ir import lower_view, view_fingerprint
         from repro.qv.passes import PassManager, default_passes
         from repro.qv.passes.base import CompileOptions
 
@@ -421,137 +400,10 @@ class QVCompiler:
         )
         report = PassManager(default_passes(opts)).run(ir)
         workflow = emit_workflow(ir)
-        self._stamp(workflow, spec, mode="optimized")
-        return workflow, report
-
-    def _stamp(self, workflow: Workflow, spec: QualityViewSpec, mode: str) -> None:
-        """Record provenance on the emitted workflow + count the run."""
-        from repro.qv.ir import view_fingerprint
-
+        # Record provenance on the emitted workflow + count the run.
         workflow.source_fingerprint = view_fingerprint(spec)
-        workflow.compile_mode = mode
         get_registry().counter(
             "repro_qv_compile_runs_total",
-            "Quality-view compilations by pipeline mode.",
-            labels=("mode",),
-        ).labels(mode=mode).inc()
-
-    def _compile_reference(
-        self, spec: QualityViewSpec, validate: bool = True
-    ) -> Workflow:
-        """The paper's rule-by-rule translation (differential baseline)."""
-
-        check_output_ports(spec)
-        canonical: Dict[URIRef, URIRef] = {}
-        if validate:
-            report = validate_quality_view(
-                spec,
-                self.iq_model,
-                known_repositories=set(self.repositories.names()),
-            )
-            report.raise_if_failed()
-            canonical = report.canonicalised
-
-        def canon(evidence: URIRef) -> URIRef:
-            return canonical.get(evidence, evidence)
-
-        workflow = Workflow(f"qv:{spec.name}")
-        workflow.add_input("dataSet")
-        workflow.add_output("annotationMap")
-
-        # Rule 1: annotators first.
-        annotator_names: List[str] = []
-        for annotator in spec.annotators:
-            service = self._resolve_service(
-                annotator.service_type, annotator.service_name
-            )
-            if not isinstance(service, AnnotationService):
-                raise CompilationError(
-                    f"operator {annotator.service_name!r} resolved to "
-                    f"{type(service).__name__}; expected an annotation service"
-                )
-            processor = AnnotatorProcessor(
-                annotator.service_name,
-                service,
-                self._store(annotator.repository_ref),
-                [canon(e) for e in annotator.evidence_types()],
-                data_class=self.iq_model.DataEntity,
-            )
-            workflow.add_processor(processor)
-            workflow.connect("", "dataSet", processor.name, "dataSet")
-            annotator_names.append(processor.name)
-
-        # Rule 2: one DE, configured with the evidence -> repository map.
-        sources: Dict[URIRef, AnnotationStore] = {}
-        for assertion in spec.assertions:
-            for variable in assertion.variables:
-                evidence = canon(variable.evidence)
-                sources[evidence] = self._store(variable.repository_ref)
-        for annotator in spec.annotators:
-            for variable in annotator.variables:
-                evidence = canon(variable.evidence)
-                sources.setdefault(evidence, self._store(variable.repository_ref))
-        enrichment = DataEnrichmentProcessor(DATA_ENRICHMENT, sources)
-        workflow.add_processor(enrichment)
-        workflow.connect("", "dataSet", DATA_ENRICHMENT, "dataSet")
-        for annotator_name in annotator_names:
-            workflow.control(annotator_name, DATA_ENRICHMENT)
-
-        # Rule 3: the DE output feeds all QA processors.
-        assertion_names: List[str] = []
-        for assertion in spec.assertions:
-            service = self._resolve_service(
-                assertion.service_type, assertion.service_name
-            )
-            if not isinstance(service, QualityAssertionService):
-                raise CompilationError(
-                    f"operator {assertion.service_name!r} resolved to "
-                    f"{type(service).__name__}; expected a QA service"
-                )
-            config = {
-                "name": assertion.service_name,
-                "tag_name": assertion.tag_name,
-                "variables": {
-                    v.name: canon(v.evidence) for v in assertion.variables
-                },
-            }
-            processor = AssertionProcessor(assertion.service_name, service, config)
-            workflow.add_processor(processor)
-            workflow.connect("", "dataSet", processor.name, "dataSet")
-            workflow.connect(
-                DATA_ENRICHMENT, "annotationMap", processor.name, "annotationMap"
-            )
-            assertion_names.append(processor.name)
-
-        # Rule 4: consolidate the assertions.
-        if assertion_names:
-            consolidate = ConsolidateProcessor(CONSOLIDATE, len(assertion_names))
-            workflow.add_processor(consolidate)
-            for index, name in enumerate(assertion_names):
-                workflow.connect(name, "annotationMap", CONSOLIDATE, f"map{index}")
-        else:
-            consolidate = ConsolidateProcessor(CONSOLIDATE, 1)
-            workflow.add_processor(consolidate)
-            workflow.connect(DATA_ENRICHMENT, "annotationMap", CONSOLIDATE, "map0")
-        workflow.connect(CONSOLIDATE, "annotationMap", "", "annotationMap")
-
-        # Rule 5: actions last, fed from the consolidated map.
-        bindings = {
-            name: canon(evidence)
-            for name, evidence in spec.variable_bindings().items()
-        }
-        for action_spec in spec.actions:
-            processor = ActionProcessor(
-                action_spec.name, action_spec, bindings, spec.namespaces
-            )
-            workflow.add_processor(processor)
-            workflow.connect("", "dataSet", processor.name, "dataSet")
-            workflow.connect(
-                CONSOLIDATE, "annotationMap", processor.name, "annotationMap"
-            )
-            for group, port in processor.group_ports.items():
-                output = f"{sanitize(action_spec.name)}_{port}"
-                workflow.add_output(output)
-                workflow.connect(processor.name, port, "", output)
-        self._stamp(workflow, spec, mode="reference")
-        return workflow
+            "Quality-view compilations.",
+        ).inc()
+        return workflow, report

@@ -66,10 +66,10 @@ class ViewDiff:
 def same_compiled_view(a: Workflow, b: Workflow) -> bool:
     """Whether two compiled workflows came from the same quality view.
 
-    Both compilation pipelines stamp the source view's canonical
-    fingerprint (:func:`repro.qv.ir.view_fingerprint`) on the emitted
-    workflow, so an optimized and a reference compilation of one view
-    compare equal here even though their processor graphs differ.
+    The compiler stamps the source view's canonical fingerprint
+    (:func:`repro.qv.ir.view_fingerprint`) on every emitted workflow,
+    so an optimized and a no-pass compilation of one view compare
+    equal here even though their processor graphs differ.
     Hand-built workflows (no fingerprint) never compare equal.
     """
     return (

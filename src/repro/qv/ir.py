@@ -14,7 +14,7 @@ plan), *bundles* of quality assertions (a bundle with several members
 is one batched service invocation), an optional filter gate, and
 actions.  Keeping the declaration order of assertions — every member
 records its original ``index`` — is what lets the backend wire
-ConsolidateAssertions exactly as the reference pipeline does, so an
+ConsolidateAssertions exactly as the no-pass translation does, so an
 optimized compilation merges per-QA maps in the same order and stays
 byte-identical on the output annotation map.
 
@@ -129,7 +129,7 @@ class IRBundle:
 class IREnrichment:
     """The single Data Enrichment step (paper rule 2).
 
-    ``columns`` keeps the reference pipeline's insertion order
+    ``columns`` keeps the Sec. 6.1 rule's insertion order
     (assertion-declared evidence first, then annotator-declared) — the
     order evidence appears in serialized maps.  ``plan`` is the
     compile-time batching plan: one ``lookup_batch`` sweep per

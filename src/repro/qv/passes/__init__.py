@@ -44,6 +44,7 @@ __all__ = [
     "EnrichmentBatchingPass",
     "EvidencePruningPass",
     "FilterPushdownPass",
+    "NO_PASSES",
     "PASS_NAMES",
     "Pass",
     "PassManager",
@@ -62,6 +63,10 @@ PASS_NAMES = (
     "filter-pushdown",
     "enrichment-batching",
 )
+
+#: Options with every pass switched off: the plain rule-by-rule
+#: Sec. 6.1 translation, and the baseline of the differential suites.
+NO_PASSES = CompileOptions(disabled_passes=frozenset(PASS_NAMES))
 
 
 def default_passes(options: CompileOptions) -> List[Pass]:

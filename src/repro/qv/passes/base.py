@@ -11,7 +11,7 @@ Pass contracts:
 
 * a pass in the **default** pipeline must be fully output-preserving —
   every workflow output, including the serialized ``annotationMap``,
-  stays byte-identical to the reference compilation;
+  stays byte-identical to the no-pass compilation (``NO_PASSES``);
 * a pass gated on :attr:`CompileOptions.observed_outputs` may change
   outputs the caller declared unobserved (``observed_outputs=None``
   means *all* outputs are observed, so such passes stay off).

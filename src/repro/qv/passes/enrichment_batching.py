@@ -6,10 +6,10 @@ grouping on every firing.  This pass precomputes the plan — one
 repository in first-appearance order, evidence types in column
 (declaration) order within each repository — so the backend can emit a
 :class:`~repro.qv.backend.BatchEnrichmentProcessor` that walks the
-fixed plan directly.  Grouping and sweep order match the reference
-processor exactly, so hit/miss accounting and evidence insertion order
-(hence serialized maps) are unchanged; the pass is default-pipeline
-safe and its value is the explicit, explainable plan.
+fixed plan directly.  Grouping and sweep order match the plain
+enrichment processor exactly, so hit/miss accounting and evidence
+insertion order (hence serialized maps) are unchanged; the pass is
+default-pipeline safe and its value is the explicit, explainable plan.
 """
 
 from __future__ import annotations

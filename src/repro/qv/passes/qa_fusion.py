@@ -8,13 +8,13 @@ every member operator over the same restricted map — evidence vectors
 are identical to the member-by-member runs, so each member's tags come
 out unchanged — and exposes one output map *per member*, wired into
 ConsolidateAssertions at each member's original declaration slot.  The
-serialized annotation map is therefore byte-identical to the reference
+serialized annotation map is therefore byte-identical to the no-pass
 compilation; only the invocation count (and the per-call round-trip
 latency) drops.
 
 Fusion is output-preserving, so it runs in the default pipeline.  The
 one observable coupling is failure granularity: a fault in the fused
-invocation degrades all members together where the reference plan
+invocation degrades all members together where the no-pass plan
 could degrade one — recovered (retried) faults are unaffected, which
 is what the chaos differential pins.
 """

@@ -4,8 +4,8 @@ The paper enacts one compiled quality view at a time; this subsystem
 turns that per-call facade into a throughput-oriented service:
 
 * :class:`~repro.runtime.parallel.ParallelEnactor` — wavefront
-  scheduling over the compiled workflow DAG plus parallel implicit
-  iteration, output-identical to the serial enactor;
+  scheduling over the compiled workflow DAG, output-identical to the
+  serial enactor;
 * :class:`~repro.runtime.service.ExecutionService` — a bounded job
   queue drained by a worker pool, with job handles/futures, batched
   submission, admission control (block/reject backpressure) and

@@ -52,9 +52,6 @@ class RuntimeConfig:
         worker pool.
     ``enactment_workers``
         Wavefront width of the per-job parallel enactor.
-    ``iteration_workers``
-        Fan-out width for implicit iteration inside one firing;
-        ``1`` keeps iterations serial.
     ``job_retries``
         Whole-job re-runs after a failed enactment before the job is
         failed and dead-lettered (``0`` = fail on the first error; the
@@ -92,7 +89,6 @@ class RuntimeConfig:
     queue_policy: str = POLICY_BLOCK
     parallel_enactment: bool = False
     enactment_workers: int = 4
-    iteration_workers: int = 1
     job_retries: int = 0
     resilience: Optional[ResilienceConfig] = None
     name: str = "runtime"
@@ -121,10 +117,6 @@ class RuntimeConfig:
         if self.enactment_workers < 1:
             raise ValueError(
                 f"enactment_workers must be >= 1, got {self.enactment_workers}"
-            )
-        if self.iteration_workers < 1:
-            raise ValueError(
-                f"iteration_workers must be >= 1, got {self.iteration_workers}"
             )
         if self.job_retries < 0:
             raise ValueError(

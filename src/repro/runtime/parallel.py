@@ -6,34 +6,26 @@ at a time in topological order.  This module's
 data/control-link DAG: every processor whose upstream dependencies have
 completed is submitted to a thread pool, so independent branches of a
 compiled quality view (e.g. the three QAs fed by the single Data
-Enrichment step of Fig. 6) execute concurrently.  Implicit iteration
-can additionally fan out each firing's per-element calls across a
-second pool.
+Enrichment step of Fig. 6) execute concurrently.
 
-Both enactors share the firing semantics of
-``repro.workflow.enactor`` (:func:`fire_processor` — implicit
-iteration, retry/alternate fault tolerance), so a parallel enactment
-produces exactly the outputs of a serial one; only the interleaving of
-trace events differs.  The differential tests in
+The class overrides only the base enactor's scheduling step; every
+firing runs through the execution core
+(:func:`repro.workflow.enactor.traced_firing`), so a parallel
+enactment produces exactly the outputs of a serial one and only the
+interleaving of trace events differs.  The differential tests in
 ``tests/test_runtime_parallel.py`` pin that equivalence down.
 """
 
 from __future__ import annotations
 
-import threading
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
-from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.observability import current_span, use_span
 from repro.workflow.enactor import (
     KIND_WAVEFRONT,
     EnactmentError,
-    EnactmentResult,
     Enactor,
-    check_inputs,
-    collect_workflow_outputs,
-    enactment_telemetry,
-    fire_processor,
     gather_port_values,
     traced_firing,
 )
@@ -44,170 +36,95 @@ from repro.workflow.trace import EnactmentTrace
 class ParallelEnactor(Enactor):
     """Enacts workflows with wavefront (DAG-level) parallelism.
 
-    ``max_workers`` bounds how many processors may fire concurrently;
-    ``iteration_workers`` > 1 additionally parallelises the implicit
-    iteration inside each firing (a dedicated pool per run, so firings
-    cannot deadlock waiting on their own iteration subtasks).
+    ``max_workers`` bounds how many processors may fire concurrently.
 
     The instance is re-entrant: concurrent ``run`` calls from different
-    threads each get their own pools, value store, and trace
+    threads each get their own pool, value store, and trace
     (``last_trace`` is per calling thread, as in the base class).
 
     Observability: thread pools do not inherit context variables, so
     the active span is captured at task submission and re-activated
-    inside each firing task (and each parallel iteration call) — a
-    firing two pool hops away from the submitting job still lands in
-    that job's trace, and its annotation-store reads count against
-    exactly that job.
+    inside each firing task — a firing two pool hops away from the
+    submitting job still lands in that job's trace, and its
+    annotation-store reads count against exactly that job.
     """
 
     kind = KIND_WAVEFRONT
 
-    def __init__(
-        self, max_workers: int = 4, iteration_workers: int = 1
-    ) -> None:
+    def __init__(self, max_workers: int = 4) -> None:
         super().__init__()
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        if iteration_workers < 1:
-            raise ValueError(
-                f"iteration_workers must be >= 1, got {iteration_workers}"
-            )
         self.max_workers = max_workers
-        self.iteration_workers = iteration_workers
 
-    def enact(
-        self, workflow: Workflow, inputs: Optional[Mapping[str, Any]] = None
-    ) -> EnactmentResult:
-        """Enact a workflow; returns its outputs *with* the run's trace."""
-        inputs = dict(inputs or {})
-        check_inputs(workflow, inputs)
-        workflow.validate()
-        trace = EnactmentTrace(workflow.name)
-        self.last_trace = trace
-        values: Dict[Tuple[str, str], Any] = {
-            ("", name): value for name, value in inputs.items()
-        }
-        # Compiled workflows carry a precomputed wavefront schedule;
-        # consume it instead of re-deriving the dependency maps per run
-        # (upstream_of scans every link per processor).  Hand-built or
-        # structurally edited workflows fall back to a fresh computation
-        # — ensure_schedule treats a stale processor set as a miss.
-        schedule = workflow.schedule
-        if (
-            schedule is None
-            or schedule.dependencies.keys() != workflow.processors.keys()
-        ):
-            schedule = workflow.compute_schedule()
+    def _schedule(
+        self,
+        workflow: Workflow,
+        values: Dict[Tuple[str, str], Any],
+        trace: EnactmentTrace,
+    ) -> None:
+        """Drive the ready set through a pool until the DAG drains.
+
+        Consumes the compiled workflow's cached wavefront schedule
+        (hand-built or edited workflows get a fresh one).  Only this
+        (scheduler) thread touches ``values`` and ``pending``: inputs
+        are gathered before submission, outputs recorded after
+        completion.
+        """
+        schedule = workflow.ensure_schedule()
         pending: Dict[str, Set[str]] = {
             name: set(deps) for name, deps in schedule.dependencies.items()
         }
-        dependents: Dict[str, List[str]] = {
-            name: list(waiting) for name, waiting in schedule.dependents.items()
-        }
-
-        iteration_pool: Optional[ThreadPoolExecutor] = None
-        mapper = None
-        if self.iteration_workers > 1:
-            iteration_pool = ThreadPoolExecutor(
-                max_workers=self.iteration_workers,
-                thread_name_prefix=f"iter-{workflow.name}",
-            )
-
-            def mapper(call, calls):  # noqa: F811 - bound when pool exists
-                # Carry the firing task's span onto the iteration pool
-                # threads so per-element calls stay in its trace.
-                span = current_span()
-
-                def hop(inputs):
-                    with use_span(span):
-                        return call(inputs)
-
-                return list(iteration_pool.map(hop, calls))
-
-        try:
-            with enactment_telemetry(workflow.name, self.kind):
-                with ThreadPoolExecutor(
-                    max_workers=self.max_workers,
-                    thread_name_prefix=f"enact-{workflow.name}",
-                ) as pool:
-                    self._wavefront(
-                        workflow, pool, mapper, trace, values, pending,
-                        dependents,
-                    )
-        finally:
-            if iteration_pool is not None:
-                iteration_pool.shutdown(wait=True)
-        return EnactmentResult(collect_workflow_outputs(workflow, values), trace)
-
-    def _wavefront(
-        self,
-        workflow: Workflow,
-        pool: ThreadPoolExecutor,
-        mapper: Optional[Callable],
-        trace: EnactmentTrace,
-        values: Dict[Tuple[str, str], Any],
-        pending: Dict[str, Set[str]],
-        dependents: Dict[str, List[str]],
-    ) -> None:
-        """Drive the ready set through the pool until the DAG drains.
-
-        Only this (scheduler) thread touches ``values`` and ``pending``:
-        inputs are gathered before submission, outputs recorded after
-        completion, so worker tasks never share mutable scheduling
-        state.
-        """
         in_flight: Dict[Future, str] = {}
         failure: Optional[EnactmentError] = None
 
-        def submit(name: str) -> None:
-            processor = workflow.processors[name]
-            port_values = gather_port_values(workflow, name, values)
-            # Captured on the scheduler thread (where the enact span —
-            # and, under the execution service, the job span — is
-            # active); re-activated on the pool thread inside the task.
-            span = current_span()
+        with ThreadPoolExecutor(
+            max_workers=self.max_workers,
+            thread_name_prefix=f"enact-{workflow.name}",
+        ) as pool:
 
-            def task() -> Tuple[Dict[str, Any], int]:
-                with use_span(span):
-                    return traced_firing(
-                        trace,
-                        name,
-                        workflow.name,
-                        lambda: fire_processor(processor, port_values, mapper),
-                    )
+            def submit(name: str) -> None:
+                del pending[name]
+                port_values = gather_port_values(workflow, name, values)
+                # Captured on the scheduler thread (where the enact span
+                # — and, under the execution service, the job span — is
+                # active); re-activated on the pool thread in the task.
+                span = current_span()
 
-            in_flight[pool.submit(task)] = name
+                def task() -> Dict[str, Any]:
+                    with use_span(span):
+                        return traced_firing(
+                            trace, workflow, name, port_values
+                        )
 
-        ready = sorted(name for name, deps in pending.items() if not deps)
-        for name in ready:
-            del pending[name]
-            submit(name)
-        while in_flight:
-            done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-            newly_ready: List[str] = []
-            for future in done:
-                name = in_flight.pop(future)
-                try:
-                    outputs, _ = future.result()
-                except EnactmentError as exc:
-                    # Remember the first failure; let in-flight siblings
-                    # finish but submit nothing new.
-                    if failure is None:
-                        failure = exc
-                    continue
-                for port, value in outputs.items():
-                    values[(name, port)] = value
-                for dependent in dependents[name]:
-                    deps = pending.get(dependent)
-                    if deps is None:
+                in_flight[pool.submit(task)] = name
+
+            for name in sorted(n for n, deps in pending.items() if not deps):
+                submit(name)
+            while in_flight:
+                done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+                newly_ready: List[str] = []
+                for future in done:
+                    name = in_flight.pop(future)
+                    try:
+                        outputs = future.result()
+                    except EnactmentError as exc:
+                        # Remember the first failure; let in-flight
+                        # siblings finish but submit nothing new.
+                        if failure is None:
+                            failure = exc
                         continue
-                    deps.discard(name)
-                    if not deps:
-                        newly_ready.append(dependent)
-            if failure is None:
-                for name in sorted(newly_ready):
-                    del pending[name]
-                    submit(name)
+                    for port, value in outputs.items():
+                        values[(name, port)] = value
+                    for dependent in schedule.dependents[name]:
+                        deps = pending.get(dependent)
+                        if deps is None:
+                            continue
+                        deps.discard(name)
+                        if not deps:
+                            newly_ready.append(dependent)
+                if failure is None:
+                    for name in sorted(newly_ready):
+                        submit(name)
         if failure is not None:
             raise failure

@@ -28,9 +28,11 @@ Data flow, per job::
 Chunks stream: a worker ships each chunk's frontier back as soon as it
 clears the last shardable stage, while later chunks are still being
 annotated — there is no per-wavefront barrier anywhere on the shardable
-path.  Every inter-process payload crosses as a deterministic
-``serving/wire.py`` message; the serial enactor remains the byte-equal
-differential oracle (``tests/test_runtime_process.py``).
+path.  Worker and residual stages fire through the execution core
+(:func:`repro.workflow.enactor.fire_in_order`).  Every inter-process
+payload crosses as a deterministic ``serving/wire.py`` message; the
+serial enactor remains the byte-equal differential oracle
+(``tests/test_runtime_process.py``).
 
 Crash isolation: queues are per *worker generation*.  A worker that
 dies abruptly (``os._exit``, OOM kill, segfault) can take a queue's
@@ -91,12 +93,11 @@ from repro.runtime.service import QueueFullError, RuntimeClosedError
 from repro.runtime.shard import ShardSpec, chunked, partition
 from repro.serving import wire
 from repro.workflow.enactor import (
+    EnactmentError,
     EnactmentTrace,
     collect_workflow_outputs,
     enactment_telemetry,
-    fire_processor,
-    gather_port_values,
-    traced_firing,
+    fire_in_order,
 )
 
 if TYPE_CHECKING:
@@ -659,7 +660,6 @@ class ProcessExecutionService:
                 "kind": "view",
                 "fingerprint": job.fingerprint,
                 "xml": job.view.to_xml(),
-                "mode": job.workflow.compile_mode or "optimized",
                 "processors": sorted(job.workflow.processors),
                 "shardable": list(job.shardable),
             })
@@ -837,19 +837,12 @@ class ProcessExecutionService:
                 values[key] = job.merged_value(key)
         trace = EnactmentTrace(workflow.name)
         with enactment_telemetry(workflow.name, KIND_PROCESS):
-            for name in workflow.topological_order():
-                if name in region:
-                    continue
-                processor = workflow.processors[name]
-                port_values = gather_port_values(workflow, name, values)
-                outputs, _ = traced_firing(
-                    trace,
-                    name,
-                    workflow.name,
-                    lambda p=processor, pv=port_values: fire_processor(p, pv),
-                )
-                for port, value in outputs.items():
-                    values[(name, port)] = value
+            fire_in_order(
+                workflow,
+                [n for n in workflow.topological_order() if n not in region],
+                values,
+                trace,
+            )
         outputs = collect_workflow_outputs(workflow, values)
         result = job.view._package(list(job.items), workflow, outputs)
         return result, trace
@@ -1003,37 +996,40 @@ def _worker_main(spec, config, framework, inbox, outbox) -> None:
         workflow = chunk.view.workflow
         started = time.perf_counter()
         before_lookups, before_hits = framework.repositories.lookup_stats()
-        name = ""
+        trace = EnactmentTrace(workflow.name)
+        failure: Optional[Exception] = None
         try:
-            for name in chunk.view.stages[stage]:
-                processor = workflow.processors[name]
-                port_values = gather_port_values(workflow, name, chunk.values)
-                outputs, _iterations, degradations = fire_processor(
-                    processor, port_values
-                )
-                if degradations:
-                    emit({
-                        "kind": "stat",
-                        "shard": spec.index,
-                        "job": chunk.job,
-                        "seq": chunk.seq,
-                        "items": 0,
-                        "status": "degraded",
-                        "stage_seconds": {},
-                        "cache_lookups": 0,
-                        "cache_hits": 0,
-                    })
-                for port, value in outputs.items():
-                    chunk.values[(name, port)] = value
+            fire_in_order(
+                workflow, chunk.view.stages[stage], chunk.values, trace
+            )
         except Exception as exc:  # noqa: BLE001 - chunk fault boundary
+            failure = exc
+        for _event in trace.degraded():
+            emit({
+                "kind": "stat",
+                "shard": spec.index,
+                "job": chunk.job,
+                "seq": chunk.seq,
+                "items": 0,
+                "status": "degraded",
+                "stage_seconds": {},
+                "cache_lookups": 0,
+                "cache_hits": 0,
+            })
+        if failure is not None:
+            processor = ""
+            if isinstance(failure, EnactmentError):
+                processor, failure = failure.processor, failure.cause
             emit({
                 "kind": "error",
                 "shard": spec.index,
                 "job": chunk.job,
                 "attempt": chunk.attempt,
                 "seq": chunk.seq,
-                "processor": name,
-                "error": {"type": type(exc).__name__, "message": str(exc)},
+                "processor": processor,
+                "error": {
+                    "type": type(failure).__name__, "message": str(failure)
+                },
             })
             return False
         after_lookups, after_hits = framework.repositories.lookup_stats()
@@ -1147,9 +1143,7 @@ def _worker_main(spec, config, framework, inbox, outbox) -> None:
                 continue
             try:
                 view = framework.quality_view(document["xml"])
-                workflow = view.compile(
-                    optimize=document.get("mode") != "reference"
-                )
+                workflow = view.compile()
                 if invoker is not None:
                     from repro.resilience import apply_resilience
 

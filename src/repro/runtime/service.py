@@ -121,8 +121,7 @@ class ExecutionService:
         self._job_counter = 0
         if self.config.parallel_enactment:
             self._enactor: Enactor = ParallelEnactor(
-                max_workers=self.config.enactment_workers,
-                iteration_workers=self.config.iteration_workers,
+                max_workers=self.config.enactment_workers
             )
         else:
             self._enactor = Enactor()

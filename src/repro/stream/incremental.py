@@ -1,39 +1,42 @@
 """Incremental re-enactment: re-run only what a delta touches.
 
-The enactor keeps three pieces of memo state per view, all derived from
-the compiler's typed IR (:func:`repro.qv.ir.lower_view`):
+The enactor reads its annotators, enrichment columns, assertions and
+actions from the view's own compiled workflow (``view.compile()``) and
+fires them through the execution core
+(:func:`repro.workflow.enactor.fire_in_order`) that batch enactment
+uses, so the view's invoker, retries, alternates and ``on_failure``
+policies apply exactly as in ``full_recompute()``.  It keeps three
+pieces of memo state per view:
 
 - the tracked data set (items only ever accumulate; a fully retracted
   item carries no evidence, exactly like an unknown item in batch
   enactment),
 - the evidence memo ``item -> {evidence_type: value}`` mirroring what
-  the single DataEnrichment step would read from the annotation
-  repositories, and
+  the single DataEnrichment step would read from its ``sources``, and
 - the tag memo ``assertion -> item -> {tag_name: TagValue}`` holding
-  each QA's last verdict per item.
+  each QA's last verdict per item, in ConsolidateAssertions' ``map{i}``
+  slot (declaration) order.
 
-Applying a :class:`~repro.stream.delta.Delta` re-fires the *compiled
-processor classes themselves* (``AnnotatorProcessor``,
-``AssertionProcessor``, ``ActionProcessor`` from
-:mod:`repro.qv.compiler`) over affected subsets, so invocation
-semantics are byte-identical to batch enactment by construction:
+Applying a :class:`~repro.stream.delta.Delta` re-fires those compiled
+processors over affected subsets:
 
 1. every touched item is re-annotated (its repository rows are
    retracted first — the memo-ownership invariant: a store written by
    the view's annotators is owned by them, per item),
-2. the evidence memo is refreshed for touched items through the same
-   ``lookup_batch`` reads the DataEnrichment step performs, and the
-   *observed* evidence diff decides which assertions are affected,
+2. the evidence memo is refreshed for touched items through keyed
+   ``lookup_all`` reads, and the *observed* evidence diff decides which
+   assertions are affected,
 3. item-local QA services (``QualityAssertionService.item_local``, the
    same contract the filter-pushdown pass relies on) re-run over
    affected items only; collection-scoped QAs (e.g. the score
    classifier, whose bands depend on the whole data set) re-run over
-   everything whenever any read column moved,
+   everything whenever any read column moved.  A fused assertion
+   processor fires once for all its affected members,
 4. consolidation is assembled from the memos (provably the same
    item/tag ordering as ``ConsolidateProcessor``'s map merge), and the
    actions re-fire over the full set — threshold deltas swap the
-   filter condition in the view spec (and invalidate the compiled
-   workflow) before rebuilding the action processor.
+   filter condition in the view spec, recompile the view and re-read
+   the actions from the new plan.
 
 ``full_recompute()`` is the differential oracle: it retracts the
 annotator-owned rows for every tracked item and runs the view's normal
@@ -46,7 +49,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from repro.annotation.map import AnnotationMap, TagValue
 from repro.annotation.store import AnnotationStore
@@ -54,16 +57,19 @@ from repro.core.errors import QuratorError
 from repro.core.quality_view import QualityView
 from repro.core.results import QualityViewResult
 from repro.observability import get_registry
+from repro.qv.backend import FILTER_GATE, FusedAssertionProcessor
 from repro.qv.compiler import (
+    CONSOLIDATE,
+    DATA_ENRICHMENT,
     ActionProcessor,
     AnnotatorProcessor,
     AssertionProcessor,
-    sanitize,
 )
-from repro.qv.ir import IRModule, lower_view
-from repro.qv.spec import ActionSpec
 from repro.rdf import URIRef
 from repro.stream.delta import Delta, EvidenceTable
+from repro.workflow.enactor import collect_workflow_outputs, fire_in_order
+from repro.workflow.model import Workflow
+from repro.workflow.trace import EnactmentTrace
 
 
 class StreamError(QuratorError):
@@ -116,6 +122,17 @@ class IncrementalReport:
         }
 
 
+class _Member(NamedTuple):
+    """One assertion: its firing unit, the unit's port carrying its
+    map, and the evidence columns it reads."""
+
+    name: str
+    processor: str
+    port: str
+    reads: FrozenSet[URIRef]
+    item_local: bool
+
+
 @dataclass
 class IncrementalOutcome:
     """An applied delta: the refreshed view result plus the cost report."""
@@ -147,57 +164,65 @@ class IncrementalEnactor:
         self.feed = feed
         self.apply_feed = apply_feed
         self._lock = threading.RLock()
-        self.ir: IRModule = lower_view(view.spec, self.framework.compiler)
-        self._build_processors()
+        self._read_plan(view.compile())
         # Memo state.  Items only accumulate; order is arrival order and
         # doubles as the dataSet order handed to the oracle.
         self._items: List[URIRef] = []
         self._evidence: Dict[URIRef, Dict[URIRef, Any]] = {}
         self._tags: Dict[str, Dict[URIRef, Dict[str, TagValue]]] = {
-            ira.name: {} for ira in self.ir.assertions()
+            member.name: {} for member in self._members
         }
         self._deltas_applied = 0
 
-    # -- construction --------------------------------------------------------
+    # -- the compiled plan ---------------------------------------------------
 
-    def _build_processors(self) -> None:
-        annotators = [
-            AnnotatorProcessor(
-                sanitize(ann.name),
-                ann.service,
-                ann.store,
-                ann.evidence_types,
-                ann.data_class,
+    def _read_plan(self, workflow: Workflow) -> None:
+        """Read annotators, columns, assertions and actions from a plan."""
+        if FILTER_GATE in workflow.processors:
+            raise StreamError(
+                f"quality view {self.view.name!r} is compiled with a "
+                f"filter gate; incremental enactment needs every item "
+                f"to reach the assertions (compile with default options)"
             )
-            for ann in self.ir.annotators
+        self._workflow = workflow
+        # The serial enactor's firing order, so store writes match it.
+        self._annotators = [
+            name
+            for name in workflow.topological_order()
+            if isinstance(workflow.processors[name], AnnotatorProcessor)
         ]
-        # The serial enactor fires ready processors in sorted-name order;
-        # annotators are all roots, so match that order for store writes.
-        self._annotators = sorted(annotators, key=lambda proc: proc.name)
+        self._stores: List[AnnotationStore] = list(dict.fromkeys(
+            workflow.processors[name].store for name in self._annotators
+        ))
         self._columns: List[Tuple[URIRef, AnnotationStore]] = list(
-            self.ir.enrichment.columns.items()
+            workflow.processors[DATA_ENRICHMENT].sources.items()
         )
-        self._assertions = [
-            (ira, AssertionProcessor(sanitize(ira.name), ira.service, ira.config()))
-            for ira in self.ir.assertions()
-        ]
-        self._action_order = [ira.spec.name for ira in self.ir.actions]
-        self._action_procs: Dict[str, ActionProcessor] = {
-            spec.name: self._make_action(spec)
-            for spec in (ira.spec for ira in self.ir.actions)
+        slots = {
+            link.sink.port: (link.source.processor, link.source.port)
+            for link in workflow.incoming_links(CONSOLIDATE)
         }
-
-    def _make_action(self, spec: ActionSpec) -> ActionProcessor:
-        return ActionProcessor(
-            spec.name, spec, self.ir.variable_bindings, self.ir.namespaces
-        )
-
-    def _annotator_stores(self) -> List[AnnotationStore]:
-        stores: List[AnnotationStore] = []
-        for proc in self._annotators:
-            if proc.store not in stores:
-                stores.append(proc.store)
-        return stores
+        self._members: List[_Member] = []
+        for slot in range(workflow.processors[CONSOLIDATE].n_maps):
+            source, port = slots[f"map{slot}"]
+            processor = workflow.processors[source]
+            if isinstance(processor, FusedAssertionProcessor):
+                config = processor.member_configs[
+                    int(port[len("annotationMap"):])
+                ]
+            elif isinstance(processor, AssertionProcessor):
+                config = processor.config
+            else:
+                continue  # no assertions: the DE feeds map0 directly
+            self._members.append(
+                _Member(
+                    config["name"],
+                    source,
+                    port,
+                    frozenset(config["variables"].values()),
+                    bool(processor.service.item_local),
+                )
+            )
+        self._action_plan = workflow
 
     # -- state ---------------------------------------------------------------
 
@@ -238,18 +263,15 @@ class IncrementalEnactor:
                     f"threshold updates only support filter actions; "
                     f"{name!r} is a {spec.kind}"
                 )
+            self.view.spec.actions[index] = replace(spec, condition=condition)
             try:
-                new_spec = replace(spec, condition=condition)
-                self._action_procs[name] = self._make_action(new_spec)
-            except (ValueError, QuratorError) as exc:
+                self._action_plan = self.view.compile(force=True)
+            except QuratorError as exc:
+                self.view.spec.actions[index] = spec
                 raise StreamError(
                     f"invalid condition for action {name!r}: {exc}"
                 ) from exc
-            self.view.spec.actions[index] = new_spec
             rebuilt.append(name)
-        if rebuilt:
-            # The oracle compiles from the spec; drop the stale workflow.
-            self.view.invalidate()
         return rebuilt
 
     # -- the delta path ------------------------------------------------------
@@ -277,12 +299,17 @@ class IncrementalEnactor:
 
             # 1. Retract the annotator-owned repository rows of every
             # touched item, then re-annotate from the source of truth.
+            trace = EnactmentTrace(self._workflow.name)
             if dirty:
-                for store in self._annotator_stores():
+                for store in self._stores:
                     for item in dirty:
                         store.remove_annotations(item)
-                for proc in self._annotators:
-                    proc.fire({"dataSet": list(dirty)})
+                fire_in_order(
+                    self._workflow,
+                    self._annotators,
+                    {("", "dataSet"): list(dirty)},
+                    trace,
+                )
 
             # 2. Refresh the evidence memo through the same per-column
             # batch reads DataEnrichment performs; the *observed* diff
@@ -335,35 +362,53 @@ class IncrementalEnactor:
                 actions_rebuilt=rebuilt,
             )
             total = len(self._items)
-            for ira, proc in self._assertions:
-                reads = set(ira.variables.values())
-                affected = [
+            affected_of = {
+                member.name: [
                     item
                     for item in self._items
-                    if item in new_set or (changed_columns.get(item, set()) & reads)
+                    if item in new_set
+                    or (changed_columns.get(item, set()) & member.reads)
                 ]
-                memo = self._tags[ira.name]
+                for member in self._members
+            }
+            unit_outputs: Dict[str, Dict[Tuple[str, str], Any]] = {}
+            for member in self._members:
+                affected = affected_of[member.name]
                 if not affected:
-                    report.assertions_skipped.append(ira.name)
+                    report.assertions_skipped.append(member.name)
                     report.memo_hits += total
                     continue
-                report.assertions_fired.append(ira.name)
-                if ira.service.item_local:
-                    fired = proc.fire(
-                        {"dataSet": affected, "annotationMap": enriched}
+                report.assertions_fired.append(member.name)
+                unit = member.processor
+                if unit not in unit_outputs:
+                    # One firing per unit: a fused processor covers
+                    # every affected member at once.
+                    wanted = {
+                        item
+                        for other in self._members
+                        if other.processor == unit
+                        for item in affected_of[other.name]
+                    }
+                    unit_outputs[unit] = {
+                        ("", "dataSet"): [
+                            item for item in self._items
+                            if not member.item_local or item in wanted
+                        ],
+                        (DATA_ENRICHMENT, "annotationMap"): enriched,
+                    }
+                    fire_in_order(
+                        self._workflow, [unit], unit_outputs[unit], trace
                     )
-                    result_map = fired["annotationMap"]
+                result_map = unit_outputs[unit][(unit, member.port)]
+                if member.item_local:
+                    memo = self._tags[member.name]
                     for item in affected:
                         memo[item] = dict(result_map.tags_for(item))
                     report.memo_hits += total - len(affected)
                     report.memo_misses += len(affected)
                     report.qa_item_evaluations += len(affected)
                 else:
-                    fired = proc.fire(
-                        {"dataSet": list(self._items), "annotationMap": enriched}
-                    )
-                    result_map = fired["annotationMap"]
-                    self._tags[ira.name] = {
+                    self._tags[member.name] = {
                         item: dict(result_map.tags_for(item))
                         for item in self._items
                     }
@@ -374,8 +419,8 @@ class IncrementalEnactor:
             # enriched map, tags land assertion-major per item — the
             # exact ordering ConsolidateProcessor's map merge produces.
             merged = enriched.copy()
-            for ira, _proc in self._assertions:
-                memo = self._tags[ira.name]
+            for member in self._members:
+                memo = self._tags[member.name]
                 for item in self._items:
                     for tag_name, tag in (memo.get(item) or {}).items():
                         merged.set_tag(
@@ -384,21 +429,23 @@ class IncrementalEnactor:
 
             # 6. Actions always re-fire (they are cheap condition scans
             # and thresholds may have moved); package like the view does.
-            result = QualityViewResult(
-                view_name=self.view.name,
-                items=list(self._items),
-                annotation_map=merged,
+            plan = self._action_plan
+            values = {
+                ("", "dataSet"): list(self._items),
+                (CONSOLIDATE, "annotationMap"): merged,
+            }
+            fire_in_order(
+                plan,
+                [
+                    name for name, processor in plan.processors.items()
+                    if isinstance(processor, ActionProcessor)
+                ],
+                values,
+                trace,
             )
-            for name in self._action_order:
-                proc = self._action_procs[name]
-                fired = proc.fire(
-                    {"dataSet": list(self._items), "annotationMap": merged}
-                )
-                outcome = fired["outcome"]
-                result.groups[proc.name] = {
-                    group: list(outcome.items(group))
-                    for group in proc.group_ports
-                }
+            result = self.view._package(
+                list(self._items), plan, collect_workflow_outputs(plan, values)
+            )
 
             self._deltas_applied += 1
             report.seconds = time.perf_counter() - started
@@ -457,7 +504,7 @@ class IncrementalEnactor:
         """
 
         with self._lock:
-            for store in self._annotator_stores():
+            for store in self._stores:
                 for item in self._items:
                     store.remove_annotations(item)
             return self.view.run(list(self._items), clear_cache=False)

@@ -6,12 +6,17 @@ Implicit iteration: when a depth-0 input port receives a list, the
 processor fires once per element (cross product over all iterated
 ports, Taverna's default strategy) and each output becomes a list.
 
-The firing semantics (implicit iteration, retry/alternate fault
-tolerance, ``on_failure`` degradation) live in the module-level
-:func:`fire_processor` / :func:`fire_once` functions so that every
-enactment strategy — the serial :class:`Enactor` here and the
-wavefront :class:`repro.runtime.parallel.ParallelEnactor` — shares one
-implementation and therefore one behaviour.
+This module is the one execution core.  The firing semantics
+(implicit iteration, retry/alternate fault tolerance, ``on_failure``
+degradation) live in :func:`fire_processor`, whose :func:`fire_once`
+is the only caller of ``Processor.fire``; :func:`traced_firing` runs
+one firing under its trace event, span and metrics, and
+:func:`fire_in_order` fires processor names in order over a value map.
+The serial :class:`Enactor`, the wavefront
+:class:`repro.runtime.parallel.ParallelEnactor` (which overrides only
+the scheduling step), the process backend's stages and the
+:class:`repro.stream.incremental.IncrementalEnactor` all fire through
+them, differing only in which processors fire, in what order, where.
 
 Degradation: a processor whose ``on_failure`` policy is ``"skip"`` or
 ``"default_annotation"`` absorbs an otherwise-fatal firing failure
@@ -26,16 +31,12 @@ import contextlib
 import itertools
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.observability import get_registry, start_span
 from repro.workflow.model import Workflow, WorkflowError
 from repro.workflow.processors import ON_FAILURE_FAIL
 from repro.workflow.trace import EnactmentTrace, TraceEvent
-
-#: A mapper applying one firing callable over per-iteration inputs,
-#: preserving order.  ``None`` means a plain serial loop.
-IterationMapper = Callable[[Callable[[Dict[str, Any]], Dict[str, Any]], List[Dict[str, Any]]], List[Dict[str, Any]]]
 
 
 class EnactmentError(RuntimeError):
@@ -74,7 +75,7 @@ KIND_WAVEFRONT = "wavefront"
 def record_firing(event: TraceEvent) -> None:
     """Publish one finished trace event to the default metric registry.
 
-    Both enactment strategies call this right after an event reaches a
+    :func:`traced_firing` calls this right after an event reaches a
     terminal status, so the per-processor firing counters are — like
     the firing semantics themselves — strategy-independent (the
     differential test in ``tests/test_observability_integration.py``
@@ -133,36 +134,6 @@ def enactment_telemetry(workflow_name: str, kind: str) -> Iterator[None]:
             "Finished enactments by strategy and status.",
             labels=("enactor", "status"),
         ).labels(enactor=kind, status=status).inc()
-
-
-def traced_firing(
-    trace: EnactmentTrace,
-    name: str,
-    workflow_name: str,
-    fire: Callable[[], Tuple[Dict[str, Any], int, List[str]]],
-) -> Tuple[Dict[str, Any], int]:
-    """Run one firing under its trace event, span, and metrics.
-
-    The single bottleneck both enactment strategies drive a firing
-    through: starts the trace event, opens a ``fire:<processor>``
-    span, maps the outcome onto the event (completed / degraded /
-    failed), and publishes it via :func:`record_firing`.  Raises
-    :class:`EnactmentError` on unabsorbed failure.
-    """
-    event = trace.start(name)
-    with start_span(f"fire:{name}", processor=name, workflow=workflow_name):
-        try:
-            outputs, iterations, degradations = fire()
-        except Exception as exc:
-            trace.fail(event, str(exc))
-            record_firing(event)
-            raise EnactmentError(workflow_name, name, exc) from exc
-        if degradations:
-            trace.degrade(event, "; ".join(degradations), iterations)
-        else:
-            trace.complete(event, iterations)
-        record_firing(event)
-        return outputs, iterations
 
 
 # -- shared firing semantics -------------------------------------------------
@@ -258,33 +229,24 @@ def iteration_inputs(
 
 
 def fire_processor(
-    processor,
-    port_values: Dict[str, Any],
-    mapper: Optional[IterationMapper] = None,
+    processor, port_values: Dict[str, Any]
 ) -> Tuple[Dict[str, Any], int, List[str]]:
     """Fire a processor over its gathered inputs.
 
     Returns ``(outputs, iterations, degradations)`` — the third element
     lists the failures absorbed by the processor's ``on_failure``
     policy (empty on a clean firing; the caller marks the trace event
-    degraded when it is not).
-
-    ``mapper`` lets a caller parallelise the implicit-iteration fan-out
-    (it must preserve input order); by default iterations run serially.
+    degraded when it is not).  Implicit iterations run serially, in
+    the order :func:`iteration_inputs` mandates.
     """
     degradations: List[str] = []
     calls = iteration_inputs(processor, port_values)
     if calls is None:
         outputs = fire_degradable(processor, dict(port_values), degradations)
         return outputs, 1, degradations
-
-    def call(inputs: Dict[str, Any]) -> Dict[str, Any]:
-        return fire_degradable(processor, inputs, degradations)
-
-    if mapper is None or len(calls) <= 1:
-        results = [call(inputs) for inputs in calls]
-    else:
-        results = mapper(call, calls)
+    results = [
+        fire_degradable(processor, inputs, degradations) for inputs in calls
+    ]
     collected: Dict[str, List[Any]] = {
         port: [] for port in processor.output_ports
     }
@@ -339,6 +301,60 @@ def check_inputs(workflow: Workflow, inputs: Mapping[str, Any]) -> None:
         )
 
 
+# -- the execution core ------------------------------------------------------
+
+
+def traced_firing(
+    trace: EnactmentTrace,
+    workflow: Workflow,
+    name: str,
+    port_values: Dict[str, Any],
+) -> Dict[str, Any]:
+    """Fire one processor over gathered inputs; returns its outputs.
+
+    The single bottleneck of every enactment path: starts the trace
+    event, opens a ``fire:<processor>`` span, fires through
+    :func:`fire_processor`, maps the outcome onto the event (completed
+    / degraded / failed), and publishes it via :func:`record_firing`.
+    Raises :class:`EnactmentError` on unabsorbed failure.
+    """
+    event = trace.start(name)
+    with start_span(f"fire:{name}", processor=name, workflow=workflow.name):
+        try:
+            outputs, iterations, degradations = fire_processor(
+                workflow.processors[name], port_values
+            )
+        except Exception as exc:
+            trace.fail(event, str(exc))
+            record_firing(event)
+            raise EnactmentError(workflow.name, name, exc) from exc
+        if degradations:
+            trace.degrade(event, "; ".join(degradations), iterations)
+        else:
+            trace.complete(event, iterations)
+        record_firing(event)
+        return outputs
+
+
+def fire_in_order(
+    workflow: Workflow,
+    names: Iterable[str],
+    values: Dict[Tuple[str, str], Any],
+    trace: EnactmentTrace,
+) -> None:
+    """Fire the named processors of ``workflow`` in the given order.
+
+    ``values`` maps ``(processor, port)`` to produced values (workflow
+    inputs under an empty processor name); each firing's inputs are
+    gathered from it and its outputs stored back into it.
+    """
+    for name in names:
+        port_values = gather_port_values(workflow, name, values)
+        outputs = traced_firing(trace, workflow, name, port_values)
+        for port, value in outputs.items():
+            values[(name, port)] = value
+
+
 class Enactor:
     """Runs workflows; keeps the trace of its last enactment.
 
@@ -385,23 +401,15 @@ class Enactor:
             ("", name): value for name, value in inputs.items()
         }
         with enactment_telemetry(workflow.name, self.kind):
-            for name in workflow.topological_order():
-                processor = workflow.processors[name]
-                port_values = gather_port_values(workflow, name, values)
-                outputs, _ = traced_firing(
-                    trace,
-                    name,
-                    workflow.name,
-                    lambda: self._fire(processor, port_values),
-                )
-                for port, value in outputs.items():
-                    values[(name, port)] = value
+            self._schedule(workflow, values, trace)
         return EnactmentResult(collect_workflow_outputs(workflow, values), trace)
 
-    def _fire(
-        self, processor, port_values: Dict[str, Any]
-    ) -> Tuple[Dict[str, Any], int, List[str]]:
-        return fire_processor(processor, port_values)
-
-    def _fire_once(self, processor, inputs: Dict[str, Any]) -> Dict[str, Any]:
-        return fire_once(processor, inputs)
+    def _schedule(
+        self,
+        workflow: Workflow,
+        values: Dict[Tuple[str, str], Any],
+        trace: EnactmentTrace,
+    ) -> None:
+        """Fire every processor once; the serial strategy uses
+        topological order.  Subclasses change only this step."""
+        fire_in_order(workflow, workflow.topological_order(), values, trace)

@@ -72,11 +72,9 @@ class Workflow:
         #: Workflow-level inputs: name -> Port() with empty processor.
         self.inputs: List[str] = []
         self.outputs: List[str] = []
-        #: Compiler provenance: fingerprint of the source quality view
-        #: and the pipeline that produced this workflow ("reference" or
-        #: "optimized").  ``None`` for hand-built workflows.
+        #: Compiler provenance: fingerprint of the source quality view.
+        #: ``None`` for hand-built workflows.
         self.source_fingerprint: Optional[str] = None
-        self.compile_mode: Optional[str] = None
         self._schedule: Optional[WavefrontSchedule] = None
 
     # -- construction ------------------------------------------------------

@@ -1,10 +1,11 @@
 """Tests for the staged compiler: frontend IR, passes, backend, schedule.
 
-The reference pipeline (``optimize=False``) is the differential
-baseline; these tests pin down the staged pipeline's own machinery —
-lowering and canonical signatures, pass toggling and gating, the fused
-/ gated / batched processors the backend emits, and the wavefront
-schedule annotation the parallel enactor consumes.  End-to-end
+The no-pass compilation (``options=NO_PASSES``) is the differential
+baseline, and a frozen golden plan pins it to the paper's Fig. 6
+topology (Sec. 6.1 rules); these tests pin down the staged pipeline's
+own machinery — lowering and canonical signatures, pass toggling and
+gating, the fused / gated / batched processors the backend emits, and
+the wavefront schedule annotation the parallel enactor consumes.  End-to-end
 output equivalence over randomized views lives in
 ``tests/test_compile_differential.py``.
 """
@@ -33,7 +34,12 @@ from repro.qv.compiler import (
 )
 from repro.qv.diff import same_compiled_view
 from repro.qv.ir import canonical_condition, lower_view, view_fingerprint
-from repro.qv.passes import PASS_NAMES, CompileOptions, default_passes
+from repro.qv.passes import (
+    NO_PASSES,
+    PASS_NAMES,
+    CompileOptions,
+    default_passes,
+)
 from repro.rdf import Q
 from repro.services.messages import AnnotationMapMessage
 from repro.workflow.enactor import Enactor
@@ -221,13 +227,6 @@ class TestPassToggles:
         text = report.render()
         assert "fired" in text and "frontend:" in text
 
-    def test_reference_pipeline_rejects_options(self, loaded_framework):
-        spec = parse_quality_view(example_quality_view_xml())
-        with pytest.raises(CompilationError, match="optimize=True"):
-            loaded_framework.compiler.compile(
-                spec, optimize=False, options=CompileOptions()
-            )
-
 
 class TestFusionEmission:
     def test_fused_processor_shape(self, loaded_framework):
@@ -263,7 +262,7 @@ class TestFusionEmission:
         for service in loaded_framework.services:
             service.fault_injector = counter
 
-        reference = loaded_framework.compiler.compile(spec, optimize=False)
+        reference = loaded_framework.compiler.compile(spec, options=NO_PASSES)
         optimized = loaded_framework.compiler.compile(spec)
 
         loaded_framework.repositories.clear_transient()
@@ -341,6 +340,120 @@ class TestFilterGateEmission:
         assert FILTER_GATE not in workflow.processors
 
 
+#: Paper Fig. 6: the Sec. 5.1 example view compiled by the Sec. 6.1
+#: rules with every pass disabled.  Frozen from the rule-by-rule
+#: translation; any change to it is a change to the paper's topology.
+FIG6_PROCESSORS = [
+    ("ImprintOutputAnnotator", "AnnotatorProcessor", {"dataSet": 1}, {}),
+    ("DataEnrichment", "DataEnrichmentProcessor",
+     {"dataSet": 1}, {"annotationMap": 1}),
+    ("HR MC score", "AssertionProcessor",
+     {"dataSet": 1, "annotationMap": 1}, {"annotationMap": 1}),
+    ("HR score", "AssertionProcessor",
+     {"dataSet": 1, "annotationMap": 1}, {"annotationMap": 1}),
+    ("PIScoreClassifier", "AssertionProcessor",
+     {"dataSet": 1, "annotationMap": 1}, {"annotationMap": 1}),
+    ("ConsolidateAssertions", "ConsolidateProcessor",
+     {"map0": 1, "map1": 1, "map2": 1}, {"annotationMap": 1}),
+    ("filter top k score", "ActionProcessor",
+     {"dataSet": 1, "annotationMap": 1}, {"accepted": 1, "outcome": 1}),
+]
+FIG6_DATA_LINKS = sorted([
+    ("", "dataSet", "ImprintOutputAnnotator", "dataSet"),
+    ("", "dataSet", "DataEnrichment", "dataSet"),
+    ("", "dataSet", "HR MC score", "dataSet"),
+    ("DataEnrichment", "annotationMap", "HR MC score", "annotationMap"),
+    ("", "dataSet", "HR score", "dataSet"),
+    ("DataEnrichment", "annotationMap", "HR score", "annotationMap"),
+    ("", "dataSet", "PIScoreClassifier", "dataSet"),
+    ("DataEnrichment", "annotationMap", "PIScoreClassifier", "annotationMap"),
+    ("HR MC score", "annotationMap", "ConsolidateAssertions", "map0"),
+    ("HR score", "annotationMap", "ConsolidateAssertions", "map1"),
+    ("PIScoreClassifier", "annotationMap", "ConsolidateAssertions", "map2"),
+    ("ConsolidateAssertions", "annotationMap", "", "annotationMap"),
+    ("", "dataSet", "filter top k score", "dataSet"),
+    ("ConsolidateAssertions", "annotationMap",
+     "filter top k score", "annotationMap"),
+    ("filter top k score", "accepted", "", "filter_top_k_score_accepted"),
+])
+FIG6_CONTROL_LINKS = [("ImprintOutputAnnotator", "DataEnrichment")]
+FIG6_OUTPUTS = ["annotationMap", "filter_top_k_score_accepted"]
+FIG6_ASSERTION_CONFIGS = {
+    "HR MC score": ("HR MC", {"coverage": Q.Coverage, "hitRatio": Q.HitRatio,
+                              "peptidesCount": Q.PeptidesCount}),
+    "HR score": ("HR", {"hitRatio": Q.HitRatio}),
+    "PIScoreClassifier": ("ScoreClass",
+                          {"coverage": Q.Coverage, "hitRatio": Q.HitRatio}),
+}
+FIG6_EVIDENCE = [Q.Coverage, Q.Masses, Q.HitRatio, Q.PeptidesCount]
+
+
+def _plan(workflow):
+    """A compiled workflow's topology as comparable plain values."""
+    return {
+        "processors": [
+            (name, type(p).__name__, dict(p.input_ports), dict(p.output_ports))
+            for name, p in workflow.processors.items()
+        ],
+        "data_links": sorted(
+            (l.source.processor, l.source.port, l.sink.processor, l.sink.port)
+            for l in workflow.data_links
+        ),
+        "control_links": [(c.source, c.sink) for c in workflow.control_links],
+        "inputs": list(workflow.inputs),
+        "outputs": list(workflow.outputs),
+    }
+
+
+class TestFig6Golden:
+    """The no-pass plan of the Sec. 5.1 example is paper Fig. 6."""
+
+    def compile(self, framework, options=NO_PASSES):
+        spec = parse_quality_view(example_quality_view_xml())
+        return framework.compiler.compile(spec, options=options)
+
+    def test_no_pass_plan_is_the_frozen_fig6_topology(self, loaded_framework):
+        assert _plan(self.compile(loaded_framework)) == {
+            "processors": FIG6_PROCESSORS,
+            "data_links": FIG6_DATA_LINKS,
+            "control_links": FIG6_CONTROL_LINKS,
+            "inputs": ["dataSet"],
+            "outputs": FIG6_OUTPUTS,
+        }
+
+    def test_no_pass_plan_is_configured_by_the_view(self, loaded_framework):
+        workflow = self.compile(loaded_framework)
+        cache = loaded_framework.repositories.repository("cache")
+        annotator = workflow.processors["ImprintOutputAnnotator"]
+        assert annotator.evidence_types == FIG6_EVIDENCE
+        assert annotator.store is cache
+        # one DE reading every evidence type from the cache repository
+        enrichment = workflow.processors[DATA_ENRICHMENT]
+        assert enrichment.sources == {e: cache for e in FIG6_EVIDENCE}
+        for name, (tag, variables) in FIG6_ASSERTION_CONFIGS.items():
+            assert workflow.processors[name].config == {
+                "name": name, "tag_name": tag, "variables": variables,
+            }
+
+    def test_default_plan_differs_only_in_the_enrichment_class(
+        self, loaded_framework
+    ):
+        golden = _plan(self.compile(loaded_framework))
+        default = _plan(self.compile(loaded_framework, options=None))
+        changed = [
+            (a, b) for a, b in zip(golden["processors"], default["processors"])
+            if a != b
+        ]
+        assert changed == [(
+            FIG6_PROCESSORS[1],
+            ("DataEnrichment", "BatchEnrichmentProcessor",
+             {"dataSet": 1}, {"annotationMap": 1}),
+        )]
+        golden.pop("processors")
+        default.pop("processors")
+        assert default == golden
+
+
 class TestWavefrontSchedule:
     def test_compiled_workflow_carries_a_schedule(self, loaded_framework):
         spec = parse_quality_view(example_quality_view_xml())
@@ -414,10 +527,10 @@ class TestWavefrontSchedule:
 class TestProvenance:
     def test_both_pipelines_stamp_the_same_fingerprint(self, loaded_framework):
         spec = parse_quality_view(PUSHDOWN_XML)
-        reference = loaded_framework.compiler.compile(spec, optimize=False)
+        reference = loaded_framework.compiler.compile(spec, options=NO_PASSES)
         optimized = loaded_framework.compiler.compile(spec, options=OBSERVED)
-        assert reference.compile_mode == "reference"
-        assert optimized.compile_mode == "optimized"
+        assert reference.source_fingerprint == view_fingerprint(spec)
+        assert optimized.source_fingerprint == view_fingerprint(spec)
         assert same_compiled_view(reference, optimized)
 
     def test_different_views_do_not_compare_equal(self, loaded_framework):
@@ -438,9 +551,11 @@ class TestProvenance:
 
     def test_quality_view_compile_forwards_options(self, loaded_framework):
         view = loaded_framework.quality_view(PUSHDOWN_XML)
-        assert view.compile(optimize=False).compile_mode == "reference"
+        plain = view.compile(options=NO_PASSES)
+        assert plain.source_fingerprint == view_fingerprint(view.spec)
+        assert "HR score + HR score b" not in plain.processors
         optimized = view.compile(force=True, options=OBSERVED)
-        assert optimized.compile_mode == "optimized"
+        assert optimized.source_fingerprint == plain.source_fingerprint
         assert FILTER_GATE in optimized.processors
 
 
@@ -473,15 +588,6 @@ class TestExplainCLI:
             "--disable-pass", "qa-fusion",
         ]) == 0
         assert "qa-fusion" not in capsys.readouterr().out
-
-    def test_explain_conflicts_with_no_optimize(self, tmp_path, capsys):
-        from repro.cli import main
-
-        path = tmp_path / "view.xml"
-        path.write_text(PUSHDOWN_XML)
-        assert main(["compile", str(path), "--explain",
-                     "--no-optimize"]) == 2
-        assert "drop --no-optimize" in capsys.readouterr().err
 
 
 class TestBackendFallbacks:

@@ -5,6 +5,7 @@ import pytest
 from repro.core.ispider import example_quality_view_xml
 from repro.qv import parse_quality_view
 from repro.qv.diff import diff_views, render_diff
+from repro.qv.passes import NO_PASSES
 from repro.workflow import PythonProcessor, Workflow
 
 
@@ -79,7 +80,7 @@ class TestViewDiff:
             "ImprintOutputAnnotator", LiveImprintAnnotator(ResultSetHolder())
         )
         spec = self.spec()
-        reference = framework.compiler.compile(spec, optimize=False)
+        reference = framework.compiler.compile(spec, options=NO_PASSES)
         optimized = framework.compiler.compile(spec)
         assert reference.processors.keys() == optimized.processors.keys()
         assert same_compiled_view(reference, optimized)

@@ -142,7 +142,7 @@ class TestDifferentialFiringCounts:
             framework.repositories.clear_transient()
             view.run(
                 items,
-                enactor=ParallelEnactor(max_workers=4, iteration_workers=2),
+                enactor=ParallelEnactor(max_workers=4),
                 clear_cache=False,
             )
         finally:

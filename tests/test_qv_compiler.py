@@ -23,6 +23,7 @@ from repro.qv.compiler import (
     DataEnrichmentProcessor,
     sanitize,
 )
+from repro.qv.passes import NO_PASSES
 from repro.rdf import Q
 from repro.workflow.model import ControlLink
 
@@ -188,7 +189,7 @@ class TestPortCollisions:
         with pytest.raises(CompilationError, match="collide"):
             framework.compiler.compile(spec)
         with pytest.raises(CompilationError, match="collide"):
-            framework.compiler.compile(spec, optimize=False)
+            framework.compiler.compile(spec, options=NO_PASSES)
 
     def test_splitter_groups_colliding_on_port(self, loaded_framework):
         framework, _ = loaded_framework
@@ -203,7 +204,7 @@ class TestPortCollisions:
         with pytest.raises(CompilationError, match="sanitize"):
             framework.compiler.compile(spec)
         with pytest.raises(CompilationError, match="sanitize"):
-            framework.compiler.compile(spec, optimize=False)
+            framework.compiler.compile(spec, options=NO_PASSES)
 
     def test_distinct_ports_still_compile(self, loaded_framework):
         framework, _ = loaded_framework

@@ -15,6 +15,7 @@ import pytest
 from repro.annotation.map import AnnotationMap
 from repro.core.ispider import example_quality_view_xml, setup_framework
 from repro.qv.compiler import DEGRADED_TAG
+from repro.qv.passes import NO_PASSES
 from repro.rdf import URIRef
 from repro.resilience import (
     BreakerState,
@@ -548,7 +549,7 @@ class TestOptimizedPlanChaos:
     invocation, a filter gate narrowing the data set — so resilience
     must keep its guarantees on that shape too: retries recover every
     injected fault and the surviving verdicts match both the fault-free
-    optimized run (byte-identical) and the reference compilation.
+    optimized run (byte-identical) and the no-pass compilation.
     """
 
     def _world(self, scenario, result_set, injector=None):
@@ -565,7 +566,7 @@ class TestOptimizedPlanChaos:
         self, scenario, result_set, chaos_datasets
     ):
         ref_framework, ref_view, _ = self._world(scenario, result_set)
-        ref_view.compile(optimize=False)
+        ref_view.compile(options=NO_PASSES)
         reference, _, _ = _run_batch(
             ref_framework, ref_view, chaos_datasets, parallel=True
         )
@@ -599,7 +600,7 @@ class TestOptimizedPlanChaos:
         ):
             assert chaos_xml == base_xml
             assert chaos_groups == base_groups
-        # the filter verdicts agree with the reference pipeline's
+        # the filter verdicts agree with the no-pass plan's
         for (_, chaos_groups), (_, ref_groups) in zip(chaos, reference):
             assert chaos_groups == ref_groups
 

@@ -69,17 +69,6 @@ class TestExampleViewDifferential:
             serial_enactor.last_trace.order()
         )
 
-    def test_iteration_fanout_equals_serial(self, qv_world):
-        framework, view, results = qv_world
-        items = results.items()
-        fanned = ParallelEnactor(max_workers=4, iteration_workers=4)
-        framework.repositories.clear_transient()
-        serial = view.run(items, enactor=Enactor(), clear_cache=False)
-        framework.repositories.clear_transient()
-        parallel = view.run(items, enactor=fanned, clear_cache=False)
-        assert parallel.groups == serial.groups
-        assert parallel.annotation_map == serial.annotation_map
-
 
 # -- property-based random DAGs ---------------------------------------------
 
@@ -164,7 +153,7 @@ class TestRandomDagDifferential:
         workflow, list_source = dag
         inputs = {"seed": [seed, seed + 1, seed + 2] if list_source else seed}
         serial_enactor = Enactor()
-        parallel_enactor = ParallelEnactor(max_workers=4, iteration_workers=2)
+        parallel_enactor = ParallelEnactor(max_workers=4)
         serial = serial_enactor.enact(workflow, inputs)
         parallel = parallel_enactor.enact(workflow, inputs)
         assert parallel.outputs == serial.outputs
@@ -276,7 +265,7 @@ class TestWavefrontFaultPropagation:
         assert by_name["bad"].status == "failed"
 
     def test_executor_threads_are_shut_down(self):
-        enactor = ParallelEnactor(max_workers=3, iteration_workers=2)
+        enactor = ParallelEnactor(max_workers=3)
         with pytest.raises(EnactmentError):
             enactor.run(self._forked(sibling_delay=0.02), {"x": 1})
         leftovers = [

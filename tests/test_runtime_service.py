@@ -277,8 +277,6 @@ class TestAdmissionControl:
             RuntimeConfig(workers=0).validated()
         with pytest.raises(ValueError, match="queue_policy"):
             RuntimeConfig(queue_policy="drop").validated()
-        with pytest.raises(ValueError, match="iteration_workers"):
-            RuntimeConfig(iteration_workers=0).validated()
         assert RuntimeConfig().validated().workers == 4
 
 

@@ -520,6 +520,77 @@ class TestIncrementalDifferential:
         assert report.memo_hits == N_ASSERTIONS * 5
         assert report.annotators_fired == 0
 
+    def test_fused_assertions_fire_once_per_delta(self):
+        """A fused processor is one firing unit; memos stay per member."""
+        from tests.test_compiler_ir import PUSHDOWN_XML, Counter
+
+        scenario = build_stream_scenario()
+        view = scenario.framework.quality_view(PUSHDOWN_XML)
+        assert "HR score + HR score b" in view.compile().processors
+        counter = Counter()
+        scenario.framework.services.by_name("HRScore").fault_injector = counter
+        enactor = IncrementalEnactor(view, feed=scenario.table)
+        records = synthetic_records(items=20, steps=3, delta_ratio=0.1, seed=6)
+        for record in records:
+            counter.n = 0
+            outcome = enactor.apply(record.delta)
+            assert counter.n == 1
+            assert outcome.report.assertions_fired == [
+                "HR score", "HR score b", "HR MC score"
+            ]
+            assert result_bytes(outcome.result) == result_bytes(
+                enactor.full_recompute()
+            )
+
+    def test_gated_plans_are_refused(self):
+        """A filter gate hides items from later QAs; no memo can cover it."""
+        from tests.test_compiler_ir import OBSERVED, PUSHDOWN_XML
+
+        scenario = build_stream_scenario()
+        view = scenario.framework.quality_view(PUSHDOWN_XML)
+        view.compile(options=OBSERVED)
+        with pytest.raises(StreamError, match="filter gate"):
+            IncrementalEnactor(view, feed=scenario.table)
+
+    def test_degraded_firings_match_the_oracle(self):
+        """Incremental firings honour the view's resilience wiring.
+
+        With every HRScore invocation failing and ``on_failure="skip"``,
+        the batch path degrades the QA and carries on; the incremental
+        path fires the same compiled processors through the same core,
+        so it must degrade identically instead of raising.
+        """
+        from repro.resilience import (
+            FaultInjector,
+            ResilienceConfig,
+            ResilientInvoker,
+        )
+
+        scenario = build_stream_scenario()
+        config = ResilienceConfig(
+            max_attempts=1, on_failure="skip", breaker_threshold=0
+        )
+        scenario.view.with_resilience(ResilientInvoker(config), config)
+        FaultInjector(seed=1).plan("HRScore", fault_rate=1.0).attach_registry(
+            scenario.framework.services
+        )
+        enactor = IncrementalEnactor(scenario.view, feed=scenario.table)
+        records = synthetic_records(items=20, steps=3, delta_ratio=0.1, seed=4)
+        for record in records:
+            outcome = enactor.apply(record.delta)
+            assert result_bytes(outcome.result) == result_bytes(
+                enactor.full_recompute()
+            )
+            amap = outcome.result.annotation_map
+            # the failing QA contributed no tag; the others still did
+            assert all(
+                amap.get_tag(item, "HR") is None for item in amap.items()
+            )
+            assert all(
+                amap.get_tag(item, "ScoreClass") is not None
+                for item in amap.items()
+            )
+
 
 # -- the engine: windows, drift, resume --------------------------------------
 

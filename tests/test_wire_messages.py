@@ -37,7 +37,7 @@ class TestMessageRoundTrip:
 
     DOCUMENTS = [
         {"kind": "view", "fingerprint": "abc", "xml": "<qv/>",
-         "mode": "optimized", "processors": ["a", "b"], "shardable": ["a"]},
+         "processors": ["a", "b"], "shardable": ["a"]},
         {"kind": "chunk", "job": 7, "attempt": 1, "seq": 0,
          "fingerprint": "abc", "items": ["urn:test:item:1"]},
         {"kind": "clear"},

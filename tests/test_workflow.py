@@ -1,5 +1,8 @@
 """Tests for the workflow environment: model, enactor, scavenger, SCUFL."""
 
+import pathlib
+import re
+
 import pytest
 
 from repro.annotation import AnnotationMap
@@ -236,3 +239,32 @@ class TestScufl:
             workflow_to_xml(linear_workflow()), processor_factory=factory
         )
         assert Enactor().run(restored, {"x": 7}) == {"y": 7}
+
+
+class TestExecutionCoreLint:
+    """Only the execution core may call ``Processor.fire``: every
+    enactment path (serial, wavefront, process worker, incremental)
+    fires through ``repro.workflow.enactor.fire_processor``, so the
+    invoker, retries, alternates and ``on_failure`` always apply."""
+
+    PATTERN = re.compile(r"\.fire\(")
+    ALLOWED = {pathlib.PurePosixPath("repro/workflow/enactor.py")}
+
+    def test_no_direct_fire_outside_the_enactor(self):
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        offenders = []
+        for path in sorted(src.rglob("*.py")):
+            relative = pathlib.PurePosixPath(
+                path.relative_to(src).as_posix()
+            )
+            if relative in self.ALLOWED:
+                continue
+            for line_no, line in enumerate(
+                path.read_text("utf-8").splitlines(), start=1
+            ):
+                if self.PATTERN.search(line):
+                    offenders.append(f"{relative}:{line_no}: {line.strip()}")
+        assert not offenders, (
+            "processors fired outside the execution core:\n"
+            + "\n".join(offenders)
+        )
