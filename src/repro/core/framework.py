@@ -176,8 +176,8 @@ class QuratorFramework:
         apply when omitted) and registers its circuit breakers as the
         service registry's health registry, so
         ``framework.services.health()`` reports per-endpoint breaker
-        state.  Pass the invoker to
-        :meth:`QualityView.with_resilience` or use
+        state.  The invoker (with its config) is the whole policy: pass
+        it to :meth:`QualityView.with_resilience` or use
         ``runtime(resilience=...)`` for the managed path.
         """
         from repro.resilience import ResilientInvoker

@@ -33,6 +33,8 @@ class QualityView:
         self.spec = spec
         self.framework = framework
         self._workflow: Optional[Workflow] = None
+        #: The view's own resilience policy (see :meth:`with_resilience`).
+        self.invoker = None
 
     @property
     def name(self) -> str:
@@ -80,22 +82,17 @@ class QualityView:
         """Drop the compiled workflow (after editing the spec)."""
         self._workflow = None
 
-    def with_resilience(self, invoker, config=None) -> "QualityView":
-        """Route this view's service calls through a resilient invoker.
+    def with_resilience(self, invoker) -> "QualityView":
+        """Run this view under a resilient invoker's policy.
 
-        Compiles the view (if needed) and applies
-        :func:`repro.resilience.apply_resilience`: every service-backed
-        processor invokes through ``invoker`` (retries, deadlines,
-        circuit breakers) and picks up the ``on_failure`` degradation
-        policies of ``config`` (which defaults to the invoker's own
-        configuration).  Returns ``self`` for chaining; re-apply after
-        :meth:`invalidate`.
+        :meth:`run` and the incremental enactor route service calls
+        through ``invoker`` (retries, deadlines, circuit breakers) and
+        degrade by its config's ``on_failure`` policies.  The policy is
+        the view's, not its compiled plan's, so it survives recompiles;
+        an enactor's own invoker (a runtime's) takes precedence.
+        Returns ``self`` for chaining.
         """
-        from repro.resilience import apply_resilience
-
-        apply_resilience(
-            self.compile(), invoker, config if config is not None else invoker.config
-        )
+        self.invoker = invoker
         return self
 
     def embed(
@@ -127,7 +124,9 @@ class QualityView:
             self.framework.repositories.clear_transient()
         workflow = self.compile()
         runner = enactor if enactor is not None else self.framework.enactor
-        outputs = runner.run(workflow, {"dataSet": list(items)})
+        outputs = runner.enact(
+            workflow, {"dataSet": list(items)}, self.invoker
+        ).outputs
         return self._package(list(items), workflow, outputs)
 
     def _package(

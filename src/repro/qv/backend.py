@@ -200,8 +200,9 @@ class FilterGateProcessor(Processor):
     :class:`~repro.process.actions.FilterAction` (identical environment
     construction and error behaviour to the downstream actions) and
     emits the surviving items in input order.  Deliberately has no
-    ``service`` attribute: it makes no remote call, so
-    ``apply_resilience`` leaves it alone.
+    ``service`` attribute: it makes no remote call, so a run's
+    resilience policy never routes or degrades it (only an
+    ``on_failure_overrides`` entry naming it does).
     """
 
     def __init__(

@@ -15,16 +15,17 @@ testable condition:
   :class:`CircuitBreaker` (closed -> open -> half-open) with health
   counters surfaced via ``ServiceRegistry.health()``;
 * :mod:`~repro.resilience.invoker` — :class:`ResilientInvoker`, the
-  single invocation code path shared by the serial and wavefront
-  enactors, and :func:`apply_resilience` to wire a compiled workflow;
+  single invocation code path and, with its config, a run's policy;
 * :mod:`~repro.resilience.config` — :class:`ResilienceConfig`,
   including per-processor ``on_failure`` degradation policies
   (``fail`` | ``skip`` | ``default_annotation``).
 
-Wire-up paths: ``QualityView.with_resilience(...)`` for stand-alone
-runs, ``RuntimeConfig(resilience=...)`` for the concurrent
-``ExecutionService`` (which adds per-job retries, a dead-letter list,
-and resilience counters in its ``RuntimeStats``).
+Wire-up paths (the policy travels with the run, never with the plan):
+``QualityView.with_resilience(invoker)`` for stand-alone and
+incremental runs; ``RuntimeConfig(resilience=...)`` for a runtime's
+jobs and serving delta sessions, taking precedence over the view's
+(and adding per-job retries, a dead-letter list, and resilience
+counters in its ``RuntimeStats``).
 """
 
 from repro.resilience.breaker import (
@@ -53,7 +54,6 @@ from repro.resilience.invoker import (
     InvokerStats,
     InvokerStatsSnapshot,
     ResilientInvoker,
-    apply_resilience,
 )
 from repro.resilience.policy import DeadlineExceeded, RetryPolicy
 
@@ -79,5 +79,4 @@ __all__ = [
     "ResilienceConfig",
     "ResilientInvoker",
     "RetryPolicy",
-    "apply_resilience",
 ]

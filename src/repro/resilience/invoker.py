@@ -4,9 +4,11 @@
 with the full policy stack: circuit-breaker admission, bounded retries
 with exponential backoff + full jitter, and a wall-clock deadline that
 spans all attempts.  Service-backed processors route their calls
-through ``Processor.invoke_service``, so the serial and the wavefront
-enactor exercise exactly this code path — resilience behaviour cannot
-diverge between them.
+through ``Processor.invoke_service`` to the invoker of the run that
+fires them, so every enactment path exercises exactly this code path —
+resilience behaviour cannot diverge between them.  The invoker carries
+its :class:`ResilienceConfig`, so it is the whole policy: the
+execution core also reads the config's ``on_failure`` rules from it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Any, Callable, Mapping, Optional
 
 from repro.observability import get_registry
 from repro.resilience.breaker import CircuitBreakerRegistry, CircuitOpenError
-from repro.resilience.config import ON_FAILURE_FAIL, ResilienceConfig
+from repro.resilience.config import ResilienceConfig
 from repro.resilience.policy import DeadlineExceeded, RetryPolicy
 from repro.services.interface import Service
 
@@ -230,29 +232,3 @@ class ResilientInvoker:
             f"<ResilientInvoker {snap.invocations} invocations, "
             f"{snap.retries} retries, {len(self.breakers)} breakers>"
         )
-
-
-def apply_resilience(
-    workflow: Any,
-    invoker: Optional[ResilientInvoker],
-    config: Optional[ResilienceConfig] = None,
-) -> Any:
-    """Attach an invoker and degradation policies to a compiled workflow.
-
-    Service-backed processors (those with a ``service`` attribute) get
-    the invoker and the config's default ``on_failure`` policy;
-    ``on_failure_overrides`` apply to any processor by name.  Returns
-    the workflow for chaining.  Idempotent: re-applying replaces the
-    previous wiring.
-    """
-    if config is None:
-        config = invoker.config if invoker is not None else ResilienceConfig()
-    for processor in workflow.processors.values():
-        service_backed = getattr(processor, "service", None) is not None
-        if service_backed:
-            processor.invoker = invoker
-        if processor.name in config.on_failure_overrides:
-            processor.on_failure = config.on_failure_overrides[processor.name]
-        elif service_backed and config.on_failure != ON_FAILURE_FAIL:
-            processor.on_failure = config.on_failure
-    return workflow

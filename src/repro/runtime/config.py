@@ -59,8 +59,8 @@ class RuntimeConfig:
     ``resilience``
         Optional :class:`repro.resilience.ResilienceConfig`; when set,
         the service builds one shared
-        :class:`~repro.resilience.ResilientInvoker` and wires every
-        submitted view/workflow through it (retries with backoff,
+        :class:`~repro.resilience.ResilientInvoker` and fires every
+        submitted view/workflow under it (retries with backoff,
         deadlines, per-endpoint circuit breakers, ``on_failure``
         degradation policies).
     ``backend``

@@ -51,8 +51,8 @@ class ParallelEnactor(Enactor):
 
     kind = KIND_WAVEFRONT
 
-    def __init__(self, max_workers: int = 4) -> None:
-        super().__init__()
+    def __init__(self, max_workers: int = 4, invoker=None) -> None:
+        super().__init__(invoker)
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         self.max_workers = max_workers
@@ -62,6 +62,7 @@ class ParallelEnactor(Enactor):
         workflow: Workflow,
         values: Dict[Tuple[str, str], Any],
         trace: EnactmentTrace,
+        invoker,
     ) -> None:
         """Drive the ready set through a pool until the DAG drains.
 
@@ -94,7 +95,7 @@ class ParallelEnactor(Enactor):
                 def task() -> Dict[str, Any]:
                     with use_span(span):
                         return traced_firing(
-                            trace, workflow, name, port_values
+                            trace, workflow, name, port_values, invoker
                         )
 
                 in_flight[pool.submit(task)] = name

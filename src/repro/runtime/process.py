@@ -341,7 +341,6 @@ class ProcessExecutionService:
         from repro.qv.backend import shardable_processors
 
         workflow = view.compile()
-        self._apply_resilience(workflow)
         shardable = shardable_processors(workflow)
         if clear_cache:
             self.framework.repositories.clear_transient()
@@ -472,12 +471,6 @@ class ProcessExecutionService:
         )
 
     # -- admission ---------------------------------------------------------
-
-    def _apply_resilience(self, workflow) -> None:
-        if self.invoker is not None:
-            from repro.resilience import apply_resilience
-
-            apply_resilience(workflow, self.invoker, self.config.resilience)
 
     def _new_handle(self, name: str) -> JobHandle:
         with self._lock:
@@ -842,6 +835,7 @@ class ProcessExecutionService:
                 [n for n in workflow.topological_order() if n not in region],
                 values,
                 trace,
+                self.invoker,
             )
         outputs = collect_workflow_outputs(workflow, values)
         result = job.view._package(list(job.items), workflow, outputs)
@@ -1000,7 +994,8 @@ def _worker_main(spec, config, framework, inbox, outbox) -> None:
         failure: Optional[Exception] = None
         try:
             fire_in_order(
-                workflow, chunk.view.stages[stage], chunk.values, trace
+                workflow, chunk.view.stages[stage], chunk.values, trace,
+                invoker,
             )
         except Exception as exc:  # noqa: BLE001 - chunk fault boundary
             failure = exc
@@ -1144,10 +1139,6 @@ def _worker_main(spec, config, framework, inbox, outbox) -> None:
             try:
                 view = framework.quality_view(document["xml"])
                 workflow = view.compile()
-                if invoker is not None:
-                    from repro.resilience import apply_resilience
-
-                    apply_resilience(workflow, invoker, config.resilience)
                 if sorted(workflow.processors) != document["processors"]:
                     raise RuntimeError(
                         f"worker compile of view {fingerprint!r} emitted "

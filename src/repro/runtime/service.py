@@ -31,7 +31,7 @@ from repro.observability import (
     use_span,
 )
 from repro.rdf import URIRef
-from repro.resilience import ResilientInvoker, apply_resilience
+from repro.resilience import ResilientInvoker
 from repro.runtime.config import POLICY_REJECT, RuntimeConfig
 from repro.runtime.jobs import Job, JobBatch, JobHandle
 from repro.runtime.metrics import RuntimeStats, RuntimeStatsSnapshot
@@ -121,10 +121,11 @@ class ExecutionService:
         self._job_counter = 0
         if self.config.parallel_enactment:
             self._enactor: Enactor = ParallelEnactor(
-                max_workers=self.config.enactment_workers
+                max_workers=self.config.enactment_workers,
+                invoker=self.invoker,
             )
         else:
-            self._enactor = Enactor()
+            self._enactor = Enactor(self.invoker)
         self._workers = [
             threading.Thread(
                 target=self._worker_loop,
@@ -154,7 +155,7 @@ class ExecutionService:
         transient repositories *now*, at admission — only safe when no
         other job is mid-flight against the same framework.
         """
-        self._apply_resilience(view.compile())
+        view.compile()
         if clear_cache:
             self.framework.repositories.clear_transient()
         dataset = list(items)
@@ -209,7 +210,6 @@ class ExecutionService:
         timeout: Optional[float] = None,
     ) -> JobHandle:
         """Queue a raw workflow enactment; the result is its outputs."""
-        self._apply_resilience(workflow)
         handle = self._new_handle(name or f"wf-{workflow.name}")
         inputs = dict(inputs or {})
 
@@ -295,11 +295,6 @@ class ExecutionService:
         )
 
     # -- internals ---------------------------------------------------------
-
-    def _apply_resilience(self, workflow: Workflow) -> None:
-        """Route a workflow's service calls through the shared invoker."""
-        if self.invoker is not None:
-            apply_resilience(workflow, self.invoker, self.config.resilience)
 
     def _new_handle(self, name: str) -> JobHandle:
         with self._lock:

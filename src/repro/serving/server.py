@@ -585,7 +585,10 @@ class QualityViewServer:
         absorbed synchronously by the view's stream session — a
         per-view :class:`repro.stream.IncrementalEnactor` whose memo
         state lives as long as the registration (re-registering the
-        view with different XML drops it).  Upsert values act as
+        view with different XML drops it).  The session owns a copy of
+        the view parsed from the registered XML, so threshold deltas
+        never edit the registered view; it fires under the runtime's
+        resilience policy.  Upsert values act as
         invalidation hints here: the view's annotators re-read their
         own evidence sources for the touched items.
         """
@@ -624,7 +627,9 @@ class QualityViewServer:
         with self._streams_lock:
             session = self._streams.get(name)
             if session is None or session[0] != record.fingerprint:
-                session = (record.fingerprint, IncrementalEnactor(record.view))
+                view = self.framework.quality_view(record.xml)
+                view.with_resilience(self.runtime.invoker)
+                session = (record.fingerprint, IncrementalEnactor(view))
                 self._streams[name] = session
         _fingerprint, enactor = session
         try:

@@ -4,8 +4,9 @@ The enactor reads its annotators, enrichment columns, assertions and
 actions from the view's own compiled workflow (``view.compile()``) and
 fires them through the execution core
 (:func:`repro.workflow.enactor.fire_in_order`) that batch enactment
-uses, so the view's invoker, retries, alternates and ``on_failure``
-policies apply exactly as in ``full_recompute()``.  It keeps three
+uses, under the view's invoker (``QualityView.with_resilience``), so
+retries, alternates and ``on_failure`` policies apply exactly as in
+``full_recompute()``, also after a threshold delta.  It keeps three
 pieces of memo state per view:
 
 - the tracked data set (items only ever accumulate; a fully retracted
@@ -309,6 +310,7 @@ class IncrementalEnactor:
                     self._annotators,
                     {("", "dataSet"): list(dirty)},
                     trace,
+                    self.view.invoker,
                 )
 
             # 2. Refresh the evidence memo through the same per-column
@@ -397,7 +399,8 @@ class IncrementalEnactor:
                         (DATA_ENRICHMENT, "annotationMap"): enriched,
                     }
                     fire_in_order(
-                        self._workflow, [unit], unit_outputs[unit], trace
+                        self._workflow, [unit], unit_outputs[unit], trace,
+                        self.view.invoker,
                     )
                 result_map = unit_outputs[unit][(unit, member.port)]
                 if member.item_local:
@@ -442,6 +445,7 @@ class IncrementalEnactor:
                 ],
                 values,
                 trace,
+                self.view.invoker,
             )
             result = self.view._package(
                 list(self._items), plan, collect_workflow_outputs(plan, values)

@@ -18,6 +18,10 @@ the scheduling step), the process backend's stages and the
 :class:`repro.stream.incremental.IncrementalEnactor` all fire through
 them, differing only in which processors fire, in what order, where.
 
+Resilience belongs to the run: they all take an optional
+:class:`repro.resilience.ResilientInvoker`, resolved per processor at
+fire time, so a compiled plan is never written to after ``compile()``.
+
 Degradation: a processor whose ``on_failure`` policy is ``"skip"`` or
 ``"default_annotation"`` absorbs an otherwise-fatal firing failure
 into its :meth:`~repro.workflow.processors.Processor.degraded`
@@ -35,7 +39,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.observability import get_registry, start_span
 from repro.workflow.model import Workflow, WorkflowError
-from repro.workflow.processors import ON_FAILURE_FAIL
+from repro.workflow.processors import ACTIVE_INVOKER, ON_FAILURE_FAIL
 from repro.workflow.trace import EnactmentTrace, TraceEvent
 
 
@@ -139,43 +143,59 @@ def enactment_telemetry(workflow_name: str, kind: str) -> Iterator[None]:
 # -- shared firing semantics -------------------------------------------------
 
 
-def fire_once(processor, inputs: Dict[str, Any]) -> Dict[str, Any]:
+def fire_once(
+    processor, inputs: Dict[str, Any], invoker=None
+) -> Dict[str, Any]:
     """One processor invocation with Taverna-style fault tolerance.
 
     A processor may declare ``retries`` (re-invocations after a
     failure) and an ``alternate`` processor tried when every retry
     is exhausted — mirroring Taverna's retry/alternate-processor
-    configuration.
+    configuration.  ``invoker`` is published as ``ACTIVE_INVOKER``.
     """
     retries = getattr(processor, "retries", 0)
     attempts = retries + 1
     last_error: Optional[Exception] = None
-    for _ in range(attempts):
-        try:
-            return processor.fire(inputs)
-        except Exception as exc:  # noqa: BLE001 - fault boundary
-            last_error = exc
+    token = ACTIVE_INVOKER.set(invoker)
+    try:
+        for _ in range(attempts):
+            try:
+                return processor.fire(inputs)
+            except Exception as exc:  # noqa: BLE001 - fault boundary
+                last_error = exc
+    finally:
+        ACTIVE_INVOKER.reset(token)
     alternate = getattr(processor, "alternate", None)
     if alternate is not None:
-        return fire_once(alternate, inputs)
+        return fire_once(alternate, inputs, invoker)
     assert last_error is not None
     raise last_error
 
 
 def fire_degradable(
-    processor, inputs: Dict[str, Any], degradations: List[str]
+    processor, inputs: Dict[str, Any], degradations: List[str], invoker=None
 ) -> Dict[str, Any]:
-    """One firing with the processor's ``on_failure`` policy applied.
+    """One firing with its ``on_failure`` policy applied.
 
     Runs :func:`fire_once` (retries + alternate); if that still fails
-    and the processor declares a non-``fail`` policy, the failure is
-    absorbed: the fallback outputs come from ``processor.degraded``
-    and a note is appended to ``degradations`` for the trace.
+    under a non-``fail`` policy, the failure is absorbed: the fallback
+    outputs come from ``processor.degraded`` and a note is appended to
+    ``degradations`` for the trace.  The invoker's config, if any,
+    overrides the processor's own policy.
     """
     try:
-        return fire_once(processor, inputs)
+        return fire_once(processor, inputs, invoker)
     except Exception as exc:  # noqa: BLE001 - degradation boundary
         policy = getattr(processor, "on_failure", ON_FAILURE_FAIL)
+        if invoker is not None:
+            config = invoker.config
+            if processor.name in config.on_failure_overrides:
+                policy = config.on_failure_overrides[processor.name]
+            elif (
+                getattr(processor, "service", None) is not None
+                and config.on_failure != ON_FAILURE_FAIL
+            ):
+                policy = config.on_failure
         if policy == ON_FAILURE_FAIL:
             raise
         degradations.append(f"{type(exc).__name__}: {exc}")
@@ -229,9 +249,9 @@ def iteration_inputs(
 
 
 def fire_processor(
-    processor, port_values: Dict[str, Any]
+    processor, port_values: Dict[str, Any], invoker=None
 ) -> Tuple[Dict[str, Any], int, List[str]]:
-    """Fire a processor over its gathered inputs.
+    """Fire a processor over its gathered inputs under ``invoker``.
 
     Returns ``(outputs, iterations, degradations)`` — the third element
     lists the failures absorbed by the processor's ``on_failure``
@@ -242,10 +262,13 @@ def fire_processor(
     degradations: List[str] = []
     calls = iteration_inputs(processor, port_values)
     if calls is None:
-        outputs = fire_degradable(processor, dict(port_values), degradations)
+        outputs = fire_degradable(
+            processor, dict(port_values), degradations, invoker
+        )
         return outputs, 1, degradations
     results = [
-        fire_degradable(processor, inputs, degradations) for inputs in calls
+        fire_degradable(processor, inputs, degradations, invoker)
+        for inputs in calls
     ]
     collected: Dict[str, List[Any]] = {
         port: [] for port in processor.output_ports
@@ -309,6 +332,7 @@ def traced_firing(
     workflow: Workflow,
     name: str,
     port_values: Dict[str, Any],
+    invoker=None,
 ) -> Dict[str, Any]:
     """Fire one processor over gathered inputs; returns its outputs.
 
@@ -322,7 +346,7 @@ def traced_firing(
     with start_span(f"fire:{name}", processor=name, workflow=workflow.name):
         try:
             outputs, iterations, degradations = fire_processor(
-                workflow.processors[name], port_values
+                workflow.processors[name], port_values, invoker
             )
         except Exception as exc:
             trace.fail(event, str(exc))
@@ -341,6 +365,7 @@ def fire_in_order(
     names: Iterable[str],
     values: Dict[Tuple[str, str], Any],
     trace: EnactmentTrace,
+    invoker=None,
 ) -> None:
     """Fire the named processors of ``workflow`` in the given order.
 
@@ -350,7 +375,7 @@ def fire_in_order(
     """
     for name in names:
         port_values = gather_port_values(workflow, name, values)
-        outputs = traced_firing(trace, workflow, name, port_values)
+        outputs = traced_firing(trace, workflow, name, port_values, invoker)
         for port, value in outputs.items():
             values[(name, port)] = value
 
@@ -363,13 +388,17 @@ class Enactor:
     thread's enactment (the original single-attribute behaviour made
     concurrent callers race).  :meth:`enact` additionally returns the
     trace attached to the run's own result.
+
+    Its enactments fire under ``invoker``, a
+    :class:`repro.resilience.ResilientInvoker`, when one is given.
     """
 
     #: The strategy label this enactor publishes on workflow metrics.
     kind = KIND_SERIAL
 
-    def __init__(self) -> None:
+    def __init__(self, invoker=None) -> None:
         self._local = threading.local()
+        self.invoker = invoker
 
     @property
     def last_trace(self) -> Optional[EnactmentTrace]:
@@ -387,9 +416,16 @@ class Enactor:
         return self.enact(workflow, inputs).outputs
 
     def enact(
-        self, workflow: Workflow, inputs: Optional[Mapping[str, Any]] = None
+        self,
+        workflow: Workflow,
+        inputs: Optional[Mapping[str, Any]] = None,
+        invoker=None,
     ) -> EnactmentResult:
-        """Enact a workflow; returns its outputs *with* the run's trace."""
+        """Enact a workflow; returns its outputs *with* the run's trace.
+
+        ``invoker`` is this run's policy if the enactor has none.
+        """
+        invoker = self.invoker or invoker
         inputs = dict(inputs or {})
         check_inputs(workflow, inputs)
         workflow.validate()
@@ -401,7 +437,7 @@ class Enactor:
             ("", name): value for name, value in inputs.items()
         }
         with enactment_telemetry(workflow.name, self.kind):
-            self._schedule(workflow, values, trace)
+            self._schedule(workflow, values, trace, invoker)
         return EnactmentResult(collect_workflow_outputs(workflow, values), trace)
 
     def _schedule(
@@ -409,7 +445,10 @@ class Enactor:
         workflow: Workflow,
         values: Dict[Tuple[str, str], Any],
         trace: EnactmentTrace,
+        invoker,
     ) -> None:
         """Fire every processor once; the serial strategy uses
         topological order.  Subclasses change only this step."""
-        fire_in_order(workflow, workflow.topological_order(), values, trace)
+        fire_in_order(
+            workflow, workflow.topological_order(), values, trace, invoker
+        )

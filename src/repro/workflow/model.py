@@ -189,37 +189,20 @@ class Workflow:
         ]
 
     def topological_order(self) -> List[str]:
-        """Processor firing order; raises on cyclic dependencies."""
-        pending = {
-            name: set(self.upstream_of(name)) for name in self.processors
-        }
-        order: List[str] = []
-        ready = sorted(name for name, deps in pending.items() if not deps)
-        while ready:
-            current = ready.pop(0)
-            order.append(current)
-            del pending[current]
-            newly_ready = []
-            for name, deps in pending.items():
-                if current in deps:
-                    deps.discard(current)
-                    if not deps:
-                        newly_ready.append(name)
-            for name in sorted(newly_ready):
-                ready.append(name)
-        if pending:
-            raise WorkflowError(
-                f"workflow {self.name!r} has a dependency cycle among "
-                f"{sorted(pending)}"
-            )
-        return order
+        """Processor firing order; raises on cyclic dependencies.
+
+        The cached wavefront schedule's stages, flattened: wavefront by
+        wavefront, sorted by name within each.
+        """
+        return [
+            name for stage in self.ensure_schedule().stages for name in stage
+        ]
 
     def compute_schedule(self) -> "WavefrontSchedule":
         """Derive (and cache) the wavefront schedule; raises on cycles.
 
         Stage membership is deterministic: each wavefront lists its
-        processors in sorted name order, matching the tie-breaking of
-        :meth:`topological_order`.
+        processors in sorted name order.
         """
         dependencies = {
             name: frozenset(self.upstream_of(name)) for name in self.processors

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import abc
 import copy
+from contextvars import ContextVar
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from repro.observability import get_registry, start_span
@@ -21,6 +22,11 @@ ON_FAILURE_FAIL = "fail"
 ON_FAILURE_SKIP = "skip"
 ON_FAILURE_DEFAULT = "default_annotation"
 ON_FAILURE_POLICIES = (ON_FAILURE_FAIL, ON_FAILURE_SKIP, ON_FAILURE_DEFAULT)
+
+#: The run's :class:`repro.resilience.ResilientInvoker` (or ``None``),
+#: set by :func:`repro.workflow.enactor.fire_once` around each
+#: ``Processor.fire`` call in the firing thread.
+ACTIVE_INVOKER: ContextVar = ContextVar("repro_active_invoker", default=None)
 
 
 class Processor(abc.ABC):
@@ -45,10 +51,6 @@ class Processor(abc.ABC):
     #: (the default), ``"skip"`` / ``"default_annotation"`` degrade to
     #: :meth:`degraded` outputs and mark the trace event as degraded.
     on_failure: str = ON_FAILURE_FAIL
-
-    #: Optional :class:`repro.resilience.ResilientInvoker` routing this
-    #: processor's service calls (retry/backoff/deadline/breaker).
-    invoker: Optional[Any] = None
 
     def __init__(
         self,
@@ -97,11 +99,11 @@ class Processor(abc.ABC):
         amap: Any,
         context: Optional[Mapping[str, Any]] = None,
     ) -> Any:
-        """Route one service call through the resilient invoker, if any.
+        """Route one service call through the run's resilient invoker.
 
         Service-backed processors call this instead of
-        ``service.invoke`` directly, so attaching an invoker (see
-        ``repro.resilience.apply_resilience``) adds retry, deadline and
+        ``service.invoke`` directly, so an enactment that fires with an
+        invoker (see :data:`ACTIVE_INVOKER`) adds retry, deadline and
         circuit-breaker behaviour without touching firing semantics.
         """
         get_registry().counter(
@@ -114,9 +116,10 @@ class Processor(abc.ABC):
             processor=self.name,
             service=getattr(service, "name", ""),
         ):
-            if self.invoker is None:
+            invoker = ACTIVE_INVOKER.get()
+            if invoker is None:
                 return service.invoke(dataset, amap, context=context)
-            return self.invoker.invoke(service, dataset, amap, context=context)
+            return invoker.invoke(service, dataset, amap, context=context)
 
     def degraded(self, inputs: Dict[str, Any], policy: str) -> Dict[str, Any]:
         """Fallback outputs when ``on_failure`` absorbs a failure.

@@ -32,9 +32,9 @@ from repro.resilience import (
     ResilienceConfig,
     ResilientInvoker,
     RetryPolicy,
-    apply_resilience,
 )
-from repro.runtime import RuntimeConfig
+from repro.runtime import JobStatus, RuntimeConfig
+from repro.runtime.config import default_backend
 from repro.services.interface import Service, ServiceFault
 from repro.services.messages import AnnotationMapMessage, DataSetMessage
 from repro.workflow.enactor import EnactmentError, Enactor
@@ -473,7 +473,7 @@ class TestDegradation:
 # -- chaos differential (the tentpole acceptance test) -----------------------
 
 
-def _run_batch(framework, view, datasets, *, parallel=False):
+def _run_batch(framework, view, datasets, *, parallel=False, backend=""):
     """Run one dataset-per-job batch; returns serialized results + stats."""
     config = RuntimeConfig(
         workers=4,
@@ -482,6 +482,7 @@ def _run_batch(framework, view, datasets, *, parallel=False):
             max_attempts=10, backoff_base=0.0, breaker_threshold=0,
             jitter_seed=1,
         ),
+        backend=backend or default_backend(),
     )
     with framework.runtime(config) as service:
         batch = service.submit_many(view, datasets)
@@ -549,7 +550,9 @@ class TestOptimizedPlanChaos:
     invocation, a filter gate narrowing the data set — so resilience
     must keep its guarantees on that shape too: retries recover every
     injected fault and the surviving verdicts match both the fault-free
-    optimized run (byte-identical) and the no-pass compilation.
+    optimized run (byte-identical) and the no-pass compilation.  Runs
+    on the thread backend: the process backend refuses non-default
+    compiles.
     """
 
     def _world(self, scenario, result_set, injector=None):
@@ -568,7 +571,8 @@ class TestOptimizedPlanChaos:
         ref_framework, ref_view, _ = self._world(scenario, result_set)
         ref_view.compile(options=NO_PASSES)
         reference, _, _ = _run_batch(
-            ref_framework, ref_view, chaos_datasets, parallel=True
+            ref_framework, ref_view, chaos_datasets, parallel=True,
+            backend="thread",
         )
 
         base_framework, base_view, observed = self._world(
@@ -577,7 +581,8 @@ class TestOptimizedPlanChaos:
         base_view.compile(options=observed)
         assert "HR score + HR score b" in base_view.compile().processors
         baseline, base_snap, base_dead = _run_batch(
-            base_framework, base_view, chaos_datasets, parallel=True
+            base_framework, base_view, chaos_datasets, parallel=True,
+            backend="thread",
         )
         assert base_snap.invocation_retries == 0
         assert not base_dead
@@ -588,7 +593,8 @@ class TestOptimizedPlanChaos:
         )
         chaos_view.compile(options=observed)
         chaos, snap, dead = _run_batch(
-            chaos_framework, chaos_view, chaos_datasets, parallel=True
+            chaos_framework, chaos_view, chaos_datasets, parallel=True,
+            backend="thread",
         )
 
         assert injector.total_injected() > 0
@@ -633,8 +639,13 @@ def _flaky_workflow(fail_first: int, error=RuntimeError) -> Workflow:
 
 
 class TestRuntimeResilience:
+    """Raw-workflow jobs run on the thread backend: the process backend
+    accepts quality-view jobs only."""
+
     def test_job_retry_recovers_a_transient_failure(self, framework):
-        with framework.runtime(workers=1, job_retries=2) as service:
+        with framework.runtime(
+            workers=1, job_retries=2, backend="thread"
+        ) as service:
             handle = service.submit_workflow(_flaky_workflow(1), {"x": 1})
             assert handle.result(timeout=10) == {"y": 2}
             snap = service.snapshot()
@@ -644,7 +655,9 @@ class TestRuntimeResilience:
         assert service.dead_letters == []
 
     def test_exhausted_jobs_are_dead_lettered(self, framework):
-        with framework.runtime(workers=1, job_retries=1) as service:
+        with framework.runtime(
+            workers=1, job_retries=1, backend="thread"
+        ) as service:
             handle = service.submit_workflow(_flaky_workflow(99), {"x": 1})
             handle.wait(timeout=10)
             snap = service.snapshot()
@@ -674,6 +687,7 @@ class TestRuntimeResilience:
             resilience=ResilienceConfig(
                 max_attempts=2, backoff_base=0.0, breaker_threshold=2,
             ),
+            backend="thread",
         )
         with framework.runtime(config) as service:
             first = service.submit_workflow(
@@ -737,14 +751,20 @@ class TestRuntimeResilience:
             framework.services.replace(ScriptedService("never-deployed"))
 
 
-class TestApplyResilience:
+class TestFireTimeResilience:
+    """The policy belongs to the run: it is resolved per processor at
+    fire time and never written onto the compiled plan."""
+
     def test_only_service_backed_processors_get_the_invoker(self):
+        def boom(dataSet):
+            raise ZeroDivisionError("local failure")
+
         workflow = Workflow("mixed")
         workflow.add_input("dataSet")
         workflow.add_output("annotationMap")
-        wsdl = WSDLProcessor("call", ScriptedService("svc"))
+        wsdl = WSDLProcessor("call", ScriptedService("svc", fail_times=9999))
         plain = PythonProcessor(
-            "local", lambda dataSet: dataSet, input_ports={"dataSet": 1},
+            "local", boom, input_ports={"dataSet": 1},
             output_ports={"out": 1},
         )
         workflow.add_processor(wsdl)
@@ -754,11 +774,91 @@ class TestApplyResilience:
         workflow.link(Port("call", "annotationMap"), Port("", "annotationMap"))
 
         invoker = ResilientInvoker(
-            ResilienceConfig(on_failure=ON_FAILURE_SKIP,
+            ResilienceConfig(max_attempts=1, breaker_threshold=0,
+                             on_failure=ON_FAILURE_SKIP,
                              on_failure_overrides={"local": ON_FAILURE_SKIP})
         )
-        apply_resilience(workflow, invoker)
-        assert wsdl.invoker is invoker
-        assert plain.invoker is None
-        assert wsdl.on_failure == ON_FAILURE_SKIP  # service-backed default
-        assert plain.on_failure == ON_FAILURE_SKIP  # explicit override
+        enacted = Enactor(invoker=invoker).enact(workflow, {"dataSet": []})
+        # only the WSDL call went through the invoker...
+        assert invoker.snapshot().invocations == 1
+        # ...and both failures degraded: the service-backed default for
+        # the call, the explicit override for the plain processor
+        assert sorted(e.processor for e in enacted.trace.degraded()) == [
+            "call", "local",
+        ]
+        # the config default alone never degrades a plain processor
+        default_only = ResilientInvoker(
+            ResilienceConfig(max_attempts=1, breaker_threshold=0,
+                             on_failure=ON_FAILURE_SKIP)
+        )
+        with pytest.raises(EnactmentError, match="'local'"):
+            Enactor(invoker=default_only).enact(workflow, {"dataSet": []})
+        # nothing was written onto the processors
+        assert "invoker" not in vars(wsdl) and "on_failure" not in vars(wsdl)
+        assert "on_failure" not in vars(plain)
+
+    def test_a_plain_runtime_does_not_inherit_another_runtimes_policy(
+        self, scenario, result_set
+    ):
+        framework, holder = setup_framework(scenario)
+        holder.set(result_set)
+        FaultInjector(seed=0).plan("HRScore", fault_rate=1.0).attach(
+            framework.services.by_name("HRScore")
+        )
+        view = framework.quality_view(example_quality_view_xml())
+        items = result_set.items()
+        skipping = RuntimeConfig(
+            workers=1, backend="thread", name="skipping",
+            resilience=ResilienceConfig(
+                max_attempts=1, breaker_threshold=0,
+                on_failure=ON_FAILURE_SKIP,
+            ),
+        )
+        with framework.runtime(workers=1, backend="thread") as plain:
+            first = plain.submit(view, items)
+            assert first.wait(30) and first.status is JobStatus.FAILED
+            with framework.runtime(skipping) as resilient:
+                degraded = resilient.submit(view, items)
+                assert degraded.wait(30)
+                assert degraded.status is JobStatus.SUCCEEDED
+            again = plain.submit(view, items)
+            assert again.wait(30) and again.status is JobStatus.FAILED
+
+    def test_runs_never_write_to_the_compiled_plan(self):
+        from repro.stream import IncrementalEnactor
+        from repro.stream.scenario import (
+            build_stream_scenario,
+            synthetic_records,
+        )
+
+        def plan_state(plan):
+            return {
+                name: dict(vars(processor))
+                for name, processor in plan.processors.items()
+            }
+
+        scenario = build_stream_scenario()
+        config = ResilienceConfig(
+            max_attempts=2, backoff_base=0.0, breaker_threshold=0,
+            on_failure=ON_FAILURE_SKIP,
+        )
+        plan = scenario.view.compile()
+        before = plan_state(plan)
+        scenario.view.with_resilience(ResilientInvoker(config))
+        enactor = IncrementalEnactor(scenario.view, feed=scenario.table)
+        for record in synthetic_records(items=12, steps=2, seed=3):
+            enactor.apply(record.delta)
+            assert plan_state(plan) == before
+        runs = {
+            "thread": {"backend": "thread"},
+            "wavefront": {"backend": "thread", "parallel_enactment": True},
+            "process": {"backend": "process", "shards": 2},
+        }
+        for kind, overrides in runs.items():
+            runtime_config = RuntimeConfig(
+                workers=2, resilience=config, name=f"immutable-{kind}",
+                **overrides,
+            )
+            with scenario.framework.runtime(runtime_config) as service:
+                service.submit(scenario.view, enactor.items).result(30)
+            assert plan_state(plan) == before, kind

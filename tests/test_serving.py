@@ -353,6 +353,47 @@ class TestDispatch:
         assert status == 200
         assert document["deadletters"] == []
 
+    def test_threshold_deltas_leave_the_registered_view_alone(self, app):
+        """A delta session edits a private copy of the view, never the
+        registered one every tenant's ``/enact`` runs."""
+        from repro.core.ispider import FILTER_ACTION
+        from repro.qv.ir import view_fingerprint
+        from repro.stream import Delta, delta_to_document
+
+        server, xml, dataset = app
+        for tenant in ("t1", "t2"):
+            status, _, _ = self._call(
+                server, "PUT", "/views/shared", xml.encode("utf-8"),
+                {"Content-Type": "application/xml", "x-tenant": tenant},
+            )
+            assert status in (200, 201)
+
+        def enact(tenant):
+            status, accepted, _ = self._call(
+                server, "POST", "/views/shared/enact",
+                wire.dumps({"dataset": dataset}), {"x-tenant": tenant},
+            )
+            assert status == 202
+            job_id = accepted["job"]["job_id"]
+            assert server._jobs[job_id].handle.wait(30)
+            status, document, _ = self._call(
+                server, "GET", f"/jobs/{job_id}/result"
+            )
+            assert status == 200
+            return document["result"]
+
+        before = {tenant: enact(tenant) for tenant in ("t1", "t2")}
+        assert any(before["t1"]["groups"][FILTER_ACTION].values())
+        delta = Delta(thresholds={FILTER_ACTION: "HR > 100"})
+        status, _, _ = self._call(
+            server, "POST", "/views/shared/deltas",
+            wire.dumps({"delta": delta_to_document(delta)}),
+        )
+        assert status == 200
+        assert {tenant: enact(tenant) for tenant in ("t1", "t2")} == before
+        record = server.views.get("shared")
+        assert record.fingerprint == view_fingerprint(record.view.spec)
+
 
 class TestPlanCache:
     def test_lru_eviction_and_stats(self):

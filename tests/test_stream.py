@@ -553,7 +553,7 @@ class TestIncrementalDifferential:
             IncrementalEnactor(view, feed=scenario.table)
 
     def test_degraded_firings_match_the_oracle(self):
-        """Incremental firings honour the view's resilience wiring.
+        """Incremental firings honour the view's resilience policy.
 
         With every HRScore invocation failing and ``on_failure="skip"``,
         the batch path degrades the QA and carries on; the incremental
@@ -570,7 +570,7 @@ class TestIncrementalDifferential:
         config = ResilienceConfig(
             max_attempts=1, on_failure="skip", breaker_threshold=0
         )
-        scenario.view.with_resilience(ResilientInvoker(config), config)
+        scenario.view.with_resilience(ResilientInvoker(config))
         FaultInjector(seed=1).plan("HRScore", fault_rate=1.0).attach_registry(
             scenario.framework.services
         )
@@ -590,6 +590,36 @@ class TestIncrementalDifferential:
                 amap.get_tag(item, "ScoreClass") is not None
                 for item in amap.items()
             )
+
+    def test_threshold_deltas_keep_the_view_policy(self):
+        """A threshold delta recompiles the view; the policy stays.
+
+        The policy lives on the view, not on its compiled plan, so the
+        recompiled actions and the ``full_recompute()`` oracle fire
+        under it exactly as the earlier deltas did.
+        """
+        from repro.resilience import (
+            FaultInjector,
+            ResilienceConfig,
+            ResilientInvoker,
+        )
+
+        scenario = build_stream_scenario()
+        config = ResilienceConfig(
+            max_attempts=1, on_failure="skip", breaker_threshold=0
+        )
+        scenario.view.with_resilience(ResilientInvoker(config))
+        FaultInjector(seed=1).plan("HRScore", fault_rate=1.0).attach_registry(
+            scenario.framework.services
+        )
+        enactor = IncrementalEnactor(scenario.view, feed=scenario.table)
+        for record in synthetic_records(items=20, steps=1, seed=4):
+            enactor.apply(record.delta)
+        outcome = enactor.apply(Delta(thresholds={FILTER_ACTION: "HR > 0"}))
+        assert outcome.report.actions_rebuilt == [FILTER_ACTION]
+        assert result_bytes(outcome.result) == result_bytes(
+            enactor.full_recompute()
+        )
 
 
 # -- the engine: windows, drift, resume --------------------------------------
@@ -858,6 +888,48 @@ class TestServingDeltas:
         )
         assert status == 404
         assert document["error"] == "unknown_view"
+
+    def test_a_delta_before_any_enact_fires_under_the_runtime_policy(self):
+        from repro.core.ispider import example_quality_view_xml
+        from repro.resilience import FaultInjector, ResilienceConfig
+        from repro.serving import QualityViewServer, ServingConfig
+
+        scenario = build_stream_scenario()
+        FaultInjector(seed=1).plan("HRScore", fault_rate=1.0).attach_registry(
+            scenario.framework.services
+        )
+        runtime = scenario.framework.runtime(
+            workers=1,
+            resilience=ResilienceConfig(
+                max_attempts=1, on_failure="skip", breaker_threshold=0
+            ),
+        )
+        server = QualityViewServer(
+            scenario.framework, runtime,
+            config=ServingConfig(port=0, quota_rate=None),
+        )
+        try:
+            status, _, _, _ = server.dispatch(
+                "PUT", "/views/v", example_quality_view_xml().encode("utf-8"),
+                {"Content-Type": "application/xml"},
+            )
+            assert status == 201
+            rng = random.Random(23)
+            rows = {stream_item(i): random_row(rng) for i in range(6)}
+            scenario.table.apply(Delta(upserts=rows))
+            # no /enact has run: the session alone must carry the policy
+            status, _, payload, _ = server.dispatch(
+                "POST", "/views/v/deltas", _delta_body(Delta(upserts=rows)),
+                {},
+            )
+            assert status == 200, payload
+            entries = json.loads(payload)["result"]["annotation_map"]
+            assert len(entries) == 6
+            # the failing QA degraded; the others still tagged
+            assert all("HR" not in e["tags"] for e in entries.values())
+            assert all("ScoreClass" in e["tags"] for e in entries.values())
+        finally:
+            runtime.shutdown(drain=True)
 
     def test_deltas_share_the_tenant_quota(self):
         from repro.core.ispider import example_quality_view_xml
