@@ -5,12 +5,15 @@ allow for values of quality evidence that are themselves arbitrary RDF
 graphs".  ``annotate_structured`` stores an evidence value whose payload
 is a set of (property, value) statements instead of one literal — e.g.
 an identification context carrying instrument, lab and acquisition
-date — and ``lookup_structured`` reads it back.
+date — and ``lookup_structured`` reads it back.  Structured evidence is
+keyed like any other: the statements replace the (item, evidence type)
+pair's previous description in one atomic write.
 
 ``record_assertions`` persists quality-assertion outcomes (the
 ``q:assignedClass`` / ``q:assignedScore`` tags) into a repository, so
 past quality decisions are themselves queryable metadata — an audit
-trail over the annotation store.
+trail over the annotation store.  The trail is append-only: every
+recorded tag gets a freshly minted node.
 """
 
 from __future__ import annotations
@@ -18,8 +21,12 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.annotation.map import AnnotationMap
-from repro.annotation.store import AnnotationStore
-from repro.rdf import Graph, Literal, Q, RDF, URIRef
+from repro.annotation.store import (
+    CONTAINS_EVIDENCE,
+    AnnotationStore,
+    _node_rank,
+)
+from repro.rdf import Literal, Q, RDF, URIRef
 from repro.rdf.term import Node
 
 #: Vocabulary for persisted assertion results.
@@ -42,29 +49,28 @@ def annotate_structured(
     """
     if not description:
         raise ValueError("structured evidence needs at least one statement")
-    if store.iq_model is not None and not store.iq_model.is_evidence_type(
-        evidence_type
-    ):
-        raise ValueError(
-            f"{evidence_type} is not a QualityEvidence class in the IQ model"
-        )
-    node = store._new_evidence_node()
-    store.graph.add(data_item, Q["contains-evidence"], node)
-    store.graph.add(node, RDF.type, evidence_type)
-    if data_class is not None:
-        store.graph.add(data_item, RDF.type, data_class)
-    for key, value in description.items():
-        prop = Q[key]
-        obj: Node = value if isinstance(value, URIRef) else Literal(value)
-        store.graph.add(node, prop, obj)
-    return node
+    store._check_type(evidence_type)
+    store._check_item(data_item)
+    statements: List[Tuple[URIRef, Node]] = [
+        (Q[key], value if isinstance(value, URIRef) else Literal(value))
+        for key, value in description.items()
+    ]
+    return store._write(
+        [(data_item, evidence_type, statements)], data_class=data_class
+    )[0]
 
 
 def lookup_structured(
     store: AnnotationStore, data_item: URIRef, evidence_type: URIRef
 ) -> Optional[Dict[str, Any]]:
-    """Read graph-valued evidence back as a {key: value} description."""
-    for node in store.graph.objects(data_item, Q["contains-evidence"]):
+    """Read graph-valued evidence back as a {key: value} description.
+
+    Applies the repository's read rule when a pair has several nodes
+    (see ``repro.annotation.store``): the keyed node wins.
+    """
+    best: Optional[Dict[str, Any]] = None
+    best_rank: Tuple[int, int, int] = (-1, 0, 0)
+    for node in store.graph.objects(data_item, CONTAINS_EVIDENCE):
         if (node, RDF.type, evidence_type) not in store.graph:
             continue
         description: Dict[str, Any] = {}
@@ -73,9 +79,10 @@ def lookup_structured(
                 continue
             key = prop.fragment()
             description[key] = obj.value if isinstance(obj, Literal) else obj
-        if description:
-            return description
-    return None
+        rank = _node_rank(node)
+        if description and rank > best_rank:
+            best, best_rank = description, rank
+    return best
 
 
 def record_assertions(store: AnnotationStore, amap: AnnotationMap) -> int:
@@ -94,7 +101,7 @@ def record_assertions(store: AnnotationStore, amap: AnnotationMap) -> int:
             value = tag.plain()
             if value is None:
                 continue
-            node = store._new_evidence_node()
+            node = store._mint_node()
             store.graph.add(item, HAS_ASSERTION, node)
             store.graph.add(node, RDF.type, ASSERTION_RESULT)
             store.graph.add(node, TAG_NAME, Literal(tag_name))

@@ -11,7 +11,7 @@ picture only locally:
 
 * an :class:`~repro.qv.ir.IREnrichment` with a ``plan`` emits a
   :class:`BatchEnrichmentProcessor` walking the precomputed
-  per-repository sweeps;
+  per-repository keyed reads;
 * a fused :class:`~repro.qv.ir.IRBundle` emits a
   :class:`FusedAssertionProcessor` — one service invocation, one
   output map per member, wired into ConsolidateAssertions at each
@@ -71,7 +71,7 @@ FILTER_GATE = "FilterGate"
 class BatchEnrichmentProcessor(DataEnrichmentProcessor):
     """A DE executing the compile-time per-repository column plan.
 
-    Grouping and sweep order in ``plan`` replicate what the plain
+    Grouping and read order in ``plan`` replicate what the plain
     :class:`DataEnrichmentProcessor` derives on every firing, so
     results and repository hit/miss accounting are identical;
     ``sources`` is kept for introspection and structural compatibility.

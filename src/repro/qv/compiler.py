@@ -114,7 +114,13 @@ def check_output_ports(spec: QualityViewSpec) -> None:
 
 class AnnotatorProcessor(Processor):
     """A compiled annotation operator: computes evidence, writes the
-    repository, produces no data output (control-linked to the DE)."""
+    repository, produces no data output (control-linked to the DE).
+
+    Every input item gets each declared evidence type written: a
+    computed value upserts the (item, type) pair, a missing or
+    ``None`` value retracts it, so the repository always mirrors the
+    latest firing — in one atomic write per firing.
+    """
 
     def __init__(
         self,
@@ -137,13 +143,11 @@ class AnnotatorProcessor(Processor):
         computed = self.invoke_service(
             self.service, DataSetMessage(items), AnnotationMap()
         )
-        wanted = set(self.evidence_types)
         restricted = AnnotationMap()
-        for item in computed.items():
-            restricted.add_item(item)
-            for evidence_type, value in computed.evidence_for(item).items():
-                if evidence_type in wanted:
-                    restricted.set_evidence(item, evidence_type, value)
+        for item in items:
+            for evidence_type in self.evidence_types:
+                value = computed.get_evidence(item, evidence_type)
+                restricted.set_evidence(item, evidence_type, value)
         self.store.annotate_map(restricted, data_class=self.data_class)
         return {}
 

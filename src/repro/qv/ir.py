@@ -132,8 +132,8 @@ class IREnrichment:
     ``columns`` keeps the Sec. 6.1 rule's insertion order
     (assertion-declared evidence first, then annotator-declared) — the
     order evidence appears in serialized maps.  ``plan`` is the
-    compile-time batching plan: one ``lookup_batch`` sweep per
-    (repository, evidence type), grouped per repository.
+    compile-time batching plan: one keyed ``enrich`` read per
+    repository, covering that repository's evidence types.
     """
 
     columns: Dict[URIRef, AnnotationStore]

@@ -9,7 +9,7 @@ Default pipeline order (see :func:`default_passes`):
 3. ``filter-pushdown``   — observed-gated; gates the data set on an
    early QA verdict shared by every filter.
 4. ``enrichment-batching`` — default-safe; precomputes the
-   per-repository ``lookup_batch`` column plan.
+   per-repository keyed ``enrich`` read plan.
 
 Pruning runs first so fusion/pushdown see the surviving assertions;
 pushdown runs after fusion so the gate wires to the fused producer

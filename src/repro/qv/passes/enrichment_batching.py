@@ -1,12 +1,13 @@
 """Enrichment batching: a compile-time per-repository column plan.
 
 The reference Data Enrichment processor re-derives its repository
-grouping on every firing.  This pass precomputes the plan — one
-``lookup_batch`` sweep per (repository, evidence type), grouped per
-repository in first-appearance order, evidence types in column
-(declaration) order within each repository — so the backend can emit a
+grouping on every firing.  This pass precomputes the plan — one keyed
+``enrich`` read per repository (a single seeded SPARQL execution over
+the (item, evidence type) pairs), repositories in first-appearance
+order, evidence types in column (declaration) order within each
+repository — so the backend can emit a
 :class:`~repro.qv.backend.BatchEnrichmentProcessor` that walks the
-fixed plan directly.  Grouping and sweep order match the plain
+fixed plan directly.  Grouping and read order match the plain
 enrichment processor exactly, so hit/miss accounting and evidence
 insertion order (hence serialized maps) are unchanged; the pass is
 default-pipeline safe and its value is the explicit, explainable plan.
@@ -27,7 +28,7 @@ if TYPE_CHECKING:
 class EnrichmentBatchingPass(Pass):
     name = "enrichment-batching"
     description = (
-        "precompute per-repository lookup_batch sweeps for the "
+        "precompute one keyed enrich read per repository for the "
         "enrichment step"
     )
 
@@ -50,9 +51,9 @@ class EnrichmentBatchingPass(Pass):
         ir.enrichment.plan = plan
         batched = sum(1 for _, types in plan if len(types) > 1)
         note = (
-            f"planned {len(plan)} repository sweep(s) over "
+            f"planned {len(plan)} repository read(s) over "
             f"{len(ir.enrichment.columns)} evidence column(s)"
         )
         if batched:
-            note += f"; {batched} sweep(s) batch multiple evidence types"
+            note += f"; {batched} read(s) batch multiple evidence types"
         return [note]

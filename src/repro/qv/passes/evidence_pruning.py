@@ -5,7 +5,7 @@ column and every annotator-computed evidence value is visible in the
 serialized map, so under the default contract (byte-equal everything)
 nothing may be pruned.  When the caller declares it only consumes the
 action group ports, a column that no QA variable reads and no action
-condition references cannot influence routing — its repository sweep
+condition references cannot influence routing — its repository read
 is dropped; an annotator whose evidence is entirely unconsumed *and*
 whose repository is transient (per-execution scope, so skipping the
 write has no effect beyond this run) is removed altogether, saving its

@@ -33,7 +33,7 @@ solution.
 Concurrency contract
 --------------------
 
-Index *mutation* (``add``/``remove``/``clear``) is serialized by a
+Index *mutation* (``add``/``remove``/``update``/``clear``) is serialized by a
 per-graph re-entrant lock (mirroring the ``_bnode_lock`` that already
 guards blank-node id allocation in ``repro.rdf.term``), so concurrent
 writers — e.g. parallel annotators of the execution runtime filling
@@ -178,6 +178,66 @@ class Graph:
                 backend.delete(sid, pid, oid)
             backend.commit()
         return len(matched)
+
+    def update(
+        self,
+        removals: Iterable[TriplePattern] = (),
+        additions: Iterable[Union[Triple, tuple]] = (),
+    ) -> Tuple[int, int]:
+        """Remove pattern matches and add triples as one atomic write.
+
+        Every removal pattern is resolved and every change applied
+        under one lock hold and one ``commit()``; a durable backend
+        logs the whole update as one WAL record (``begin_batch``), so
+        readers and crash recovery see all of it or none of it.  Only
+        the net change is written: a matched triple that is also
+        added stays, an addition already present is skipped, so an
+        update that changes nothing logs nothing and interns no term.
+        Returns ``(removed, added)``.
+        """
+        batch = [validate_triple(*t) for t in additions]
+        patterns = list(removals)
+        backend = self.backend
+        with self._write_lock:
+            matched: Set[Tuple[int, int, int]] = set()
+            for pattern in patterns:
+                matched.update(self._match_encoded(pattern))
+            ids = self._term_ids
+            contains = self._probe.contains
+            kept: Set[Tuple[int, int, int]] = set()
+            new = []
+            for triple in batch:
+                s, p, o = triple
+                encoded = (ids.get(s), ids.get(p), ids.get(o))
+                if None not in encoded:
+                    if encoded in matched:
+                        kept.add(encoded)  # type: ignore[arg-type]
+                        continue
+                    if contains(*encoded):
+                        continue
+                new.append((triple, encoded))
+            doomed = sorted(matched - kept) if matched else []
+            if not doomed and not new:
+                return 0, 0
+            added = 0
+            intern = backend.intern
+            backend.begin_batch()
+            try:
+                for encoded in doomed:
+                    backend.delete(*encoded)
+                for (s, p, o), (sid, pid, oid) in new:
+                    # An id unknown at encoding time may have been
+                    # interned by an earlier triple of this batch.
+                    if backend.insert(
+                        intern(s) if sid is None else sid,
+                        intern(p) if pid is None else pid,
+                        intern(o) if oid is None else oid,
+                    ):
+                        added += 1
+            finally:
+                backend.end_batch()
+            backend.commit()
+        return len(doomed), added
 
     def clear(self) -> None:
         """Remove every triple (the term dictionary is kept)."""

@@ -533,12 +533,17 @@ def evaluate(
     query: Union[str, ast.Query],
     *,
     initial: Optional[Solution] = None,
+    seeds: Optional[Sequence[Solution]] = None,
     pattern_rows=None,
 ) -> SPARQLResult:
     """Parse (if needed) and evaluate a query over ``graph``.
 
     ``initial`` pre-binds variables before pattern evaluation — the
     substitution mechanism behind prepared ``$param`` queries.
+    ``seeds`` joins the pattern with a seed relation (a ``VALUES``
+    block): the pattern is evaluated once per seed row, on top of
+    ``initial``, and the solution modifiers apply to the union of the
+    rows; an empty relation has no solutions.
     ``pattern_rows`` (internal) overrides how the query's graph
     pattern is enumerated: a callable ``(pattern, first_only=False) ->
     List[Solution]``.  The planner in :mod:`repro.rdf.sparql.plan`
@@ -549,15 +554,19 @@ def evaluate(
     """
     parsed = parse_query(query) if isinstance(query, str) else query
     if pattern_rows is None:
+        if seeds is None:
+            starts = [dict(initial) if initial else None]
+        else:
+            starts = [{**(initial or {}), **seed} for seed in seeds]
 
         def pattern_rows(pattern: ast.Pattern, first_only: bool = False):
-            solutions = eval_pattern(
-                pattern, graph, dict(initial) if initial else None
-            )
-            if first_only:
-                first = next(solutions, None)
-                return [] if first is None else [first]
-            return list(solutions)
+            out: List[Solution] = []
+            for start in starts:
+                for solution in eval_pattern(pattern, graph, start):
+                    out.append(solution)
+                    if first_only:
+                        return out
+            return out
 
     if isinstance(parsed, ast.SelectQuery):
         rows = pattern_rows(parsed.pattern)

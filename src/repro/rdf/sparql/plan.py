@@ -23,7 +23,11 @@ work:
   ``$param`` variables once and substitutes concrete terms per
   execution, and :func:`compile_query` fronts a process-wide LRU cache
   keyed on query text, so repeat ``graph.query()`` calls skip the
-  lexer/parser entirely.
+  lexer/parser entirely;
+* **seed relations** — a ``$param`` bound to a list of terms is a
+  one-column ``VALUES`` block: one execution answers for every term
+  (a bind join), costing index probes per seed rather than a scan of
+  the store.
 
 Planned execution is differentially tested against the naive evaluator
 (same multiset of solutions) in ``tests/test_sparql_differential.py``.
@@ -36,6 +40,7 @@ estimates for a query over a concrete graph.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from collections import OrderedDict
@@ -702,8 +707,12 @@ class CompiledQuery:
     # -- execution ---------------------------------------------------------
 
     def _state(
-        self, graph: Graph, initial: Optional[Solution]
+        self,
+        graph: Graph,
+        initial: Optional[Solution],
+        seeded: Sequence[Variable] = (),
     ) -> _ExecState:
+        """Fresh execution state; ``seeded`` variables plan as bound."""
         state = _ExecState(graph, self.variables, self.var_slots)
         if initial:
             for var, value in initial.items():
@@ -713,6 +722,10 @@ class CompiledQuery:
                 else:
                     state.bindings[slot] = value
                     state.initial_slots.add(slot)
+        for var in seeded:
+            slot = self.var_slots.get(var)
+            if slot is not None:
+                state.initial_slots.add(slot)
         if self.root is not None:
             for bgp in _walk_bgps(self.root):
                 order, filters_at, _ = bgp.order_for(state)
@@ -724,36 +737,65 @@ class CompiledQuery:
         graph: Graph,
         initial: Optional[Solution],
         first_only: bool = False,
+        seeds: Optional[Sequence[Solution]] = None,
     ) -> List[Solution]:
         """All solutions of the compiled pattern, materialised.
 
         Runs entirely under the graph's lock so the result is one
         consistent snapshot, exactly like ``Graph.triples`` promises.
+        ``seeds`` is a seed relation (a one-column ``VALUES`` block per
+        seeded variable): the pattern runs once per seed row, joined
+        with it, over one execution state and one join order.  Every
+        row must bind the same variables — each row's bindings
+        overwrite the previous row's, and the order chosen for the
+        first fits them all.  An empty seed relation has no solutions.
         """
+        if seeds is not None and not seeds:
+            return []
+        rows: Sequence[Optional[Solution]] = seeds if seeds is not None \
+            else (None,)
         with graph._write_lock:
-            state = self._state(graph, initial)
+            state = self._state(graph, initial, tuple(rows[0] or ()))
             out: List[Solution] = []
             bindings = state.bindings
+            extra = state.extra
             variables = self.variables
-            for _ in self.root.run(state):
-                row: Solution = dict(state.extra)
-                for index, value in enumerate(bindings):
-                    if value is not None:
-                        row[variables[index]] = value
-                out.append(row)
-                if first_only:
-                    break
+            var_slots = self.var_slots
+            for seed in rows:
+                if seed:
+                    for var, value in seed.items():
+                        slot = var_slots.get(var)
+                        if slot is None:
+                            extra[var] = value
+                        else:
+                            bindings[slot] = value
+                for _ in self.root.run(state):
+                    row: Solution = dict(extra)
+                    for index, value in enumerate(bindings):
+                        if value is not None:
+                            row[variables[index]] = value
+                    out.append(row)
+                    if first_only:
+                        return out
             return out
 
     def execute(
-        self, graph: Graph, bindings: Optional[Solution] = None
+        self,
+        graph: Graph,
+        bindings: Optional[Solution] = None,
+        seeds: Optional[Sequence[Solution]] = None,
     ) -> SPARQLResult:
-        """Run the compiled plan over a graph, with optional pre-bindings."""
+        """Run the compiled plan over a graph, with optional pre-bindings.
+
+        ``seeds`` joins the pattern with a seed relation (see
+        :meth:`_pattern_rows`); solution modifiers, aggregates and the
+        query form then apply to the joined rows as a whole.
+        """
         if self.root is None:
-            return evaluate(graph, self.query, initial=bindings)
+            return evaluate(graph, self.query, initial=bindings, seeds=seeds)
 
         def pattern_rows(pattern: ast.Pattern, first_only: bool = False):
-            return self._pattern_rows(graph, bindings, first_only)
+            return self._pattern_rows(graph, bindings, first_only, seeds)
 
         return evaluate(
             graph, self.query, initial=bindings, pattern_rows=pattern_rows
@@ -1025,6 +1067,10 @@ def compile_query(
 # -- prepared queries ---------------------------------------------------------
 
 
+def _as_term(value: object) -> Node:
+    return value if isinstance(value, Node) else Literal(value)
+
+
 class PreparedQuery:
     """A compiled query with named ``$param`` substitution.
 
@@ -1039,7 +1085,10 @@ class PreparedQuery:
         self.compiled = compiled
         self.params = compiled.params
 
-    def _bindings(self, params: Dict[str, object]) -> Solution:
+    def _bindings(
+        self, params: Dict[str, object]
+    ) -> Tuple[Solution, Optional[List[Solution]]]:
+        """(scalar pre-bindings, seed relation or ``None``) of a call."""
         given = set(params)
         if given != set(self.params):
             missing = sorted(set(self.params) - given)
@@ -1050,22 +1099,55 @@ class PreparedQuery:
             if unknown:
                 problems.append(f"unknown parameters: {', '.join(unknown)}")
             raise ValueError("; ".join(problems))
-        return {
-            Variable(name): value if isinstance(value, Node)
-            else Literal(value)
-            for name, value in params.items()
-        }
+        initial: Solution = {}
+        columns: List[Tuple[Variable, List[Node]]] = []
+        for name, value in params.items():
+            if isinstance(value, (list, tuple)):
+                columns.append((Variable(name), [_as_term(v) for v in value]))
+            else:
+                initial[Variable(name)] = _as_term(value)
+        if not columns:
+            return initial, None
+        names = [var for var, _ in columns]
+        seeds = [
+            dict(zip(names, row))
+            for row in itertools.product(*(terms for _, terms in columns))
+        ]
+        return initial, seeds
 
     def execute(self, graph: Graph, **params: object) -> SPARQLResult:
-        """Run over a graph with every ``$param`` bound to a term.
+        """Run over a graph with every ``$param`` bound.
 
-        Values that are not RDF terms are wrapped as ``Literal``.
+        A parameter bound to a list or tuple of terms is a one-column
+        seed relation (SPARQL ``VALUES``): the query answers for every
+        seed in one execution — one plan, one lock hold — instead of
+        one call per term.  Several sequence parameters seed their
+        cross product; an empty sequence yields no solutions.  Values
+        that are not RDF terms are wrapped as ``Literal``.
         """
-        return self.compiled.execute(graph, self._bindings(params))
+        initial, seeds = self._bindings(params)
+        return self.compiled.execute(graph, initial, seeds)
+
+    def naive(self, graph: Graph, **params: object) -> SPARQLResult:
+        """The same call through the naive reference evaluator.
+
+        The differential oracle of :meth:`execute`, seed relations
+        included.
+        """
+        initial, seeds = self._bindings(params)
+        return evaluate(graph, self.compiled.query, initial=initial, seeds=seeds)
 
     def explain(self, graph: Graph, **params: object) -> str:
-        """The plan this query would use on ``graph`` (see CompiledQuery)."""
-        bindings = self._bindings(params) if params else None
+        """The plan this query would use on ``graph`` (see CompiledQuery).
+
+        With a seed relation, the plan shown is the one every seed row
+        shares (planned with the first row's bindings).
+        """
+        bindings: Optional[Solution] = None
+        if params:
+            bindings, seeds = self._bindings(params)
+            if seeds:
+                bindings = {**bindings, **seeds[0]}
         return self.compiled.explain(graph, bindings)
 
     def __repr__(self) -> str:

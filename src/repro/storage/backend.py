@@ -256,6 +256,16 @@ class StorageBackend:
 
     # -- lifecycle ---------------------------------------------------------
 
+    def begin_batch(self) -> None:
+        """Open an atomic group of mutations (no-op in memory).
+
+        Durable backends log every mutation up to :meth:`end_batch` as
+        one record, so recovery replays the group whole or not at all.
+        """
+
+    def end_batch(self) -> None:
+        """Close the group opened by :meth:`begin_batch` (no-op)."""
+
     def commit(self) -> None:
         """Make buffered mutations durable per the sync policy (no-op)."""
 

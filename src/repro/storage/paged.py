@@ -17,6 +17,9 @@ never rebuilds an index in RAM:
   swap is a no-op by construction (duplicate adds dedup, absent
   deletes skip).  A torn WAL tail is truncated on open; interior
   corruption raises :class:`~repro.storage.errors.WALCorruption`.
+  An atomic ``Graph.update`` (``begin_batch``/``end_batch``) is
+  logged as one ``BATCH`` record, so a torn tail never replays half
+  of it.
 * **Cold open is O(segments)**: read the manifest, mmap each run and
   term bank, read their footers — never a triple.  The exact
   per-predicate statistics and the triple count are persisted in the
@@ -621,45 +624,12 @@ class PagedBackend(StorageBackend):
         replayed = 0
         try:
             for payload in scanner:
-                op = payload[0]
-                if op == records.OP_TERM:
-                    tid, term = records.decode_term_payload(payload)
-                    total = len(self.term_list)
-                    if tid < total:
-                        if self.term_list[tid] != term:
-                            raise records.RecordFormatError(
-                                f"term record rebinds id {tid}"
-                            )
-                    elif tid == total:
-                        self._add_term(term)
-                    else:
-                        raise records.RecordFormatError(
-                            f"term id {tid} skips ahead of the dictionary "
-                            f"({total} terms)"
-                        )
-                elif op == records.OP_ADD:
-                    sid, pid, oid = records.decode_ids_payload(payload)
-                    if max(sid, pid, oid) >= len(self.term_list):
-                        raise records.RecordFormatError(
-                            "triple record references unknown term ids"
-                        )
-                    self.insert(sid, pid, oid)
-                elif op == records.OP_DELETE:
-                    sid, pid, oid = records.decode_ids_payload(payload)
-                    if max(sid, pid, oid) >= len(self.term_list):
-                        raise records.RecordFormatError(
-                            "triple record references unknown term ids"
-                        )
-                    # A crash between a checkpoint's manifest swap and
-                    # its WAL reset legitimately replays stale deletes.
-                    if self.contains(sid, pid, oid):
-                        self.delete(sid, pid, oid)
-                elif op == records.OP_CLEAR:
-                    self._drop_all_runs()
+                if payload[0] == records.OP_BATCH:
+                    # Decode the whole group before applying any of it.
+                    for part in records.decode_batch_payload(payload):
+                        self._replay_record(part)
                 else:
-                    raise records.RecordFormatError(
-                        f"unexpected opcode 0x{op:02x} in the WAL"
-                    )
+                    self._replay_record(payload)
                 replayed += 1
         except records.RecordFormatError as exc:
             raise WALCorruption(
@@ -681,6 +651,48 @@ class PagedBackend(StorageBackend):
             self.recovery["outcome"] = "torn_tail"
             self.recovery["wal_truncated_bytes"] = torn
         self.recovery["wal_records_replayed"] = replayed
+
+    def _replay_record(self, payload: bytes) -> None:
+        """Apply one TERM/ADD/DELETE/CLEAR payload during WAL replay."""
+        op = payload[0]
+        if op == records.OP_TERM:
+            tid, term = records.decode_term_payload(payload)
+            total = len(self.term_list)
+            if tid < total:
+                if self.term_list[tid] != term:
+                    raise records.RecordFormatError(
+                        f"term record rebinds id {tid}"
+                    )
+            elif tid == total:
+                self._add_term(term)
+            else:
+                raise records.RecordFormatError(
+                    f"term id {tid} skips ahead of the dictionary "
+                    f"({total} terms)"
+                )
+        elif op == records.OP_ADD:
+            sid, pid, oid = records.decode_ids_payload(payload)
+            if max(sid, pid, oid) >= len(self.term_list):
+                raise records.RecordFormatError(
+                    "triple record references unknown term ids"
+                )
+            self.insert(sid, pid, oid)
+        elif op == records.OP_DELETE:
+            sid, pid, oid = records.decode_ids_payload(payload)
+            if max(sid, pid, oid) >= len(self.term_list):
+                raise records.RecordFormatError(
+                    "triple record references unknown term ids"
+                )
+            # A crash between a checkpoint's manifest swap and its WAL
+            # reset legitimately replays stale deletes.
+            if self.contains(sid, pid, oid):
+                self.delete(sid, pid, oid)
+        elif op == records.OP_CLEAR:
+            self._drop_all_runs()
+        else:
+            raise records.RecordFormatError(
+                f"unexpected opcode 0x{op:02x} in the WAL"
+            )
 
     # -- probe -------------------------------------------------------------
 
@@ -837,6 +849,14 @@ class PagedBackend(StorageBackend):
         return self._probe.scan(None, None, None)
 
     # -- lifecycle ---------------------------------------------------------
+
+    def begin_batch(self) -> None:
+        if self._wal is not None:
+            self._wal.begin_group()
+
+    def end_batch(self) -> None:
+        if self._wal is not None:
+            self._wal.end_group()
 
     def commit(self) -> None:
         if self._wal is None:

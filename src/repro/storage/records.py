@@ -19,7 +19,14 @@ Payloads start with a one-byte opcode:
 ``ADD``    ``<u8 op><u32 sid><u32 pid><u32 oid>``
 ``DELETE`` ``<u8 op><u32 sid><u32 pid><u32 oid>``
 ``CLEAR``  ``<u8 op>``
+``BATCH``  ``<u8 op><u32 n>`` + n × ``<u32 length><payload>``
 =========  =====================================================
+
+A ``BATCH`` record wraps the TERM/ADD/DELETE payloads of one atomic
+graph update (:meth:`repro.rdf.graph.Graph.update`) in a single CRC
+frame, so a torn tail drops the whole update and never half of it.
+Batches do not nest.  A build that predates the opcode refuses a WAL
+holding one as corruption rather than replaying part of it.
 
 Terms encode as ``<u8 kind>`` + kind-specific bytes: URI and blank
 nodes carry their UTF-8 text; literals carry a flags byte (datatype /
@@ -30,7 +37,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.rdf.term import BNode, Literal, Node, URIRef
 
@@ -44,6 +51,7 @@ OP_TERM = 0x01
 OP_ADD = 0x02
 OP_DELETE = 0x03
 OP_CLEAR = 0x04
+OP_BATCH = 0x05
 
 #: Term kinds.
 KIND_URI = 0x01
@@ -138,6 +146,39 @@ def delete_payload(sid: int, pid: int, oid: int) -> bytes:
 
 def clear_payload() -> bytes:
     return bytes((OP_CLEAR,))
+
+
+def batch_payload(payloads: List[bytes]) -> bytes:
+    """Wrap several payloads into one ``BATCH`` payload."""
+    out = bytearray(_OP_TERM_HEAD.pack(OP_BATCH, len(payloads)))
+    for payload in payloads:
+        out += _U32.pack(len(payload))
+        out += payload
+    return bytes(out)
+
+
+def decode_batch_payload(payload: bytes) -> List[bytes]:
+    """The wrapped payloads of one ``BATCH`` payload, in order."""
+    if len(payload) < _OP_TERM_HEAD.size:
+        raise RecordFormatError("truncated batch header")
+    _, count = _OP_TERM_HEAD.unpack_from(payload, 0)
+    offset = _OP_TERM_HEAD.size
+    parts: List[bytes] = []
+    for _ in range(count):
+        if offset + 4 > len(payload):
+            raise RecordFormatError("truncated batch entry")
+        (length,) = _U32.unpack_from(payload, offset)
+        offset += 4
+        if length == 0 or offset + length > len(payload):
+            raise RecordFormatError("truncated batch entry")
+        part = payload[offset : offset + length]
+        if part[0] == OP_BATCH:
+            raise RecordFormatError("nested batch record")
+        parts.append(part)
+        offset += length
+    if offset != len(payload):
+        raise RecordFormatError("batch record has trailing bytes")
+    return parts
 
 
 def decode_term_payload(payload: bytes) -> Tuple[int, Node]:

@@ -20,10 +20,10 @@ policy — see :meth:`repro.storage.paged.PagedBackend._replay_wal`.
 from __future__ import annotations
 
 import os
-from typing import BinaryIO, Optional
+from typing import BinaryIO, List, Optional
 
 from repro.observability import get_registry
-from repro.storage.records import encode_record
+from repro.storage.records import batch_payload, encode_record
 
 SYNC_MODES = ("always", "batch", "none")
 
@@ -49,6 +49,8 @@ class WALWriter:
         self._file: Optional[BinaryIO] = open(path, "ab")
         self._buffer = bytearray()
         self._buffered_records = 0
+        #: Payloads collected between ``begin_group``/``end_group``.
+        self._group: Optional[List[bytes]] = None
         self._commits_since_fsync = 0
         #: Cumulative counters (also published as metrics).
         self.records_written = 0
@@ -60,8 +62,25 @@ class WALWriter:
 
     def append(self, payload: bytes) -> None:
         """Buffer one framed record for the next commit."""
+        if self._group is not None:
+            self._group.append(payload)
+            return
         self._buffer += encode_record(payload)
         self._buffered_records += 1
+
+    def begin_group(self) -> None:
+        """Collect the following appends into one atomic record."""
+        self._group = []
+
+    def end_group(self) -> None:
+        """Buffer the collected appends as one ``BATCH`` record.
+
+        A group of one payload is buffered as that plain record (one
+        frame is atomic either way); an empty group writes nothing.
+        """
+        group, self._group = self._group, None
+        if group:
+            self.append(group[0] if len(group) == 1 else batch_payload(group))
 
     @property
     def has_pending(self) -> bool:

@@ -192,9 +192,6 @@ class IncrementalEnactor:
             for name in workflow.topological_order()
             if isinstance(workflow.processors[name], AnnotatorProcessor)
         ]
-        self._stores: List[AnnotationStore] = list(dict.fromkeys(
-            workflow.processors[name].store for name in self._annotators
-        ))
         self._columns: List[Tuple[URIRef, AnnotationStore]] = list(
             workflow.processors[DATA_ENRICHMENT].sources.items()
         )
@@ -298,13 +295,11 @@ class IncrementalEnactor:
             # Store writes happen in tracked order first, then arrivals.
             dirty = dirty_existing + new_items
 
-            # 1. Retract the annotator-owned repository rows of every
-            # touched item, then re-annotate from the source of truth.
+            # 1. Re-annotate every touched item from the source of
+            # truth: each annotator upserts or retracts its declared
+            # (item, evidence type) pairs, so no stale row survives.
             trace = EnactmentTrace(self._workflow.name)
             if dirty:
-                for store in self._stores:
-                    for item in dirty:
-                        store.remove_annotations(item)
                 fire_in_order(
                     self._workflow,
                     self._annotators,
@@ -500,15 +495,12 @@ class IncrementalEnactor:
     def full_recompute(self) -> QualityViewResult:
         """Batch-enact the tracked data set from scratch (the oracle).
 
-        Retracts the annotator-owned repository rows for every tracked
-        item first, so the batch path re-annotates from the same source
-        of truth the incremental path reads.  The rewritten rows carry
+        The batch path's annotators rewrite (upsert or retract) every
+        declared pair of every tracked item from the same source of
+        truth the incremental path reads.  The rewritten rows carry
         the current feed values, leaving the memo state valid — oracle
         runs may be interleaved with ``apply`` calls freely.
         """
 
         with self._lock:
-            for store in self._stores:
-                for item in self._items:
-                    store.remove_annotations(item)
             return self.view.run(list(self._items), clear_cache=False)

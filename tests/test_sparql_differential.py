@@ -6,7 +6,10 @@ which may change *what* a query returns, only how fast.  This suite
 generates random graphs and random BGP/FILTER/OPTIONAL/UNION queries
 and asserts the two execution paths produce the same multiset of
 solutions, then hammers one shared graph from eight threads with the
-plan cache on and off to show cached plans are safe to share.
+plan cache on and off to show cached plans are safe to share.  Seed
+relations (a prepared ``$param`` bound to a list of terms) are checked
+the same way against :meth:`PreparedQuery.naive`, and against the
+union of one scalar execution per seed.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from typing import List, Tuple
 import pytest
 
 from repro.rdf import Graph, Literal, URIRef
-from repro.rdf.sparql import compile_query, reset_plan_cache
+from repro.rdf.sparql import compile_query, prepare, reset_plan_cache
+from repro.storage import PagedBackend
 
 EX = "http://example.org/"
 
@@ -178,6 +182,156 @@ class TestPlannedEqualsNaive:
         assert solutions(graph.query(query)) == solutions(
             graph.query(query, use_planner=False)
         )
+
+
+#: Seed candidates: terms in the graph, literals, and terms the graph's
+#: dictionary has never seen.
+ABSENT = [URIRef(f"{EX}absent{i}") for i in range(2)]
+
+
+def random_seeds(rng: random.Random) -> List:
+    pool = SUBJECTS * 3 + OBJECT_IRIS + ABSENT + [Literal(i) for i in range(3)]
+    return [rng.choice(pool) for _ in range(rng.randint(0, 8))]
+
+
+def seeded_query(rng: random.Random) -> str:
+    """A random SELECT over the ``$a`` parameter.
+
+    ``$a`` always anchors one triple pattern, extended by a join, an
+    OPTIONAL, a UNION branch or a random group, and maybe a FILTER.
+    """
+    body = f"?a {rng.choice(PREDICATES).n3()} ?b ."
+    roll = rng.random()
+    if roll < 0.25:
+        body += f"\n?b {rng.choice(PREDICATES).n3()} ?c ."
+    elif roll < 0.5:
+        body += f"\nOPTIONAL {{ ?a {rng.choice(PREDICATES).n3()} ?c . }}"
+    elif roll < 0.7:
+        body = (
+            f"{{ {body} }} UNION "
+            f"{{ ?a {rng.choice(PREDICATES).n3()} ?c . }}"
+        )
+    else:
+        body += f"\nOPTIONAL {{ {random_group(rng)} }}"
+    if rng.random() < 0.4:
+        op = rng.choice(["<", "<=", ">", ">=", "=", "!="])
+        body += f"\nFILTER (?{rng.choice('bc')} {op} {rng.randint(0, 9)})"
+    projection = " ".join(f"?{name}" for name in used_variables(body))
+    text = f"SELECT {projection} WHERE {{\n{body}\n}}"
+    return text.replace("?a", "$a")
+
+
+class TestSeedRelations:
+    """``$param`` bound to a list: planned == naive == per-seed union."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_seeded_query(self, seed):
+        rng = random.Random(5000 + seed)
+        graph = random_graph(rng, rng.randint(20, 60))
+        query = prepare(seeded_query(rng))
+        seeds = random_seeds(rng)
+        planned = solutions(query.execute(graph, a=seeds))
+        assert planned == solutions(query.naive(graph, a=seeds))
+        union: Counter = Counter()
+        for term in seeds:
+            union += solutions(query.execute(graph, a=term))
+        assert planned == union
+
+    def fixture_graph(self) -> Graph:
+        graph = Graph()
+        p, q = PREDICATES[0], PREDICATES[1]
+        for index, subject in enumerate(SUBJECTS):
+            graph.add(subject, p, Literal(index))
+            if index % 2:
+                graph.add(subject, q, OBJECT_IRIS[index % 4])
+        return graph
+
+    def both(self, text: str, graph: Graph, **params):
+        query = prepare(text)
+        return query.execute(graph, **params), query.naive(graph, **params)
+
+    def test_empty_seed_list(self):
+        graph = self.fixture_graph()
+        text = f"SELECT ?x WHERE {{ $s {PREDICATES[0].n3()} ?x . }}"
+        planned, naive = self.both(text, graph, s=[])
+        assert len(planned) == len(naive) == 0
+        ask = f"ASK {{ $s {PREDICATES[0].n3()} ?x . }}"
+        planned, naive = self.both(ask, graph, s=[])
+        assert planned.boolean is naive.boolean is False
+
+    def test_duplicate_seeds_keep_multiplicity(self):
+        graph = self.fixture_graph()
+        text = f"SELECT $s ?x WHERE {{ $s {PREDICATES[0].n3()} ?x . }}"
+        seeds = [SUBJECTS[1], SUBJECTS[1], SUBJECTS[2]]
+        planned, naive = self.both(text, graph, s=seeds)
+        assert solutions(planned) == solutions(naive)
+        assert len(planned) == 3
+
+    def test_absent_seeds_match_nothing(self):
+        graph = self.fixture_graph()
+        text = f"SELECT $s ?x WHERE {{ $s {PREDICATES[0].n3()} ?x . }}"
+        planned, naive = self.both(text, graph, s=ABSENT + [SUBJECTS[0]])
+        assert solutions(planned) == solutions(naive)
+        assert [row[0] for row in planned] == [SUBJECTS[0]]
+
+    def test_seeds_with_optional_and_filter(self):
+        graph = self.fixture_graph()
+        p, q = PREDICATES[0], PREDICATES[1]
+        text = f"""
+        SELECT $s ?x ?y WHERE {{
+          $s {p.n3()} ?x .
+          OPTIONAL {{ $s {q.n3()} ?y . }}
+          FILTER (?x >= 1)
+        }}
+        """
+        planned, naive = self.both(text, graph, s=SUBJECTS[:4] + ABSENT)
+        assert solutions(planned) == solutions(naive)
+        assert len(planned) == 3
+
+    def test_seeds_with_order_by_and_limit(self):
+        graph = self.fixture_graph()
+        text = f"""
+        SELECT $s ?x WHERE {{ $s {PREDICATES[0].n3()} ?x . }}
+        ORDER BY DESC(?x) LIMIT 2
+        """
+        seeds = [SUBJECTS[0], SUBJECTS[3], SUBJECTS[5], SUBJECTS[1]]
+        planned, naive = self.both(text, graph, s=seeds)
+        assert list(planned) == list(naive)
+        assert [row[1] for row in planned] == [Literal(5), Literal(3)]
+
+    def test_ask_over_seeds(self):
+        graph = self.fixture_graph()
+        ask = f"ASK {{ $s {PREDICATES[1].n3()} ?y . }}"
+        for seeds, expected in [
+            ([SUBJECTS[0], SUBJECTS[2]], False),
+            ([SUBJECTS[0], SUBJECTS[3]], True),
+            (ABSENT, False),
+        ]:
+            planned, naive = self.both(ask, graph, s=seeds)
+            assert planned.boolean is naive.boolean is expected
+
+    def test_two_seeded_parameters_join_their_product(self):
+        graph = self.fixture_graph()
+        text = "SELECT $s $p ?o WHERE { $s $p ?o . }"
+        params = {"s": SUBJECTS[:3], "p": list(PREDICATES[:2])}
+        planned, naive = self.both(text, graph, **params)
+        assert solutions(planned) == solutions(naive)
+        assert len(planned) == 4
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_memory_and_paged_agree(self, seed, tmp_path):
+        rng = random.Random(7000 + seed)
+        memory = random_graph(rng, rng.randint(20, 60))
+        paged = Graph(backend=PagedBackend(str(tmp_path / "s"), sync="none"))
+        paged.add_all(memory)
+        query = prepare(seeded_query(rng))
+        seeds = random_seeds(rng)
+        try:
+            assert solutions(query.execute(paged, a=seeds)) == solutions(
+                query.execute(memory, a=seeds)
+            )
+        finally:
+            paged.close()
 
 
 class TestConcurrentHammer:

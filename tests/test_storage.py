@@ -237,6 +237,68 @@ class TestWALRecovery:
         assert triple(999) in Graph(backend=backend)
         backend.close()
 
+    def test_torn_annotation_upsert_is_all_or_nothing(self, tmp_path):
+        """One ``annotate_map`` upsert is one WAL record: at every cut
+        of it, reopening yields exactly the pre- or the post-commit
+        value of every pair, never a mix and never two values, and the
+        store verifies."""
+        from repro.annotation import AnnotationMap, AnnotationStore
+        from repro.rdf import Q, RDF
+        from repro.storage.verify import verify_store
+
+        items = [URIRef(f"{EX}item{i}") for i in range(3)]
+        pre = {(item, Q.HitRatio): 0.5 + i for i, item in enumerate(items)}
+        pre[(items[0], Q.Coverage)] = 0.25
+        post = {pair: value + 10 for pair, value in pre.items()}
+        post[(items[0], Q.Coverage)] = None  # retracted by the upsert
+        post[(items[2], Q.Coverage)] = 0.75  # a new pair
+
+        def write(store, values):
+            amap = AnnotationMap()
+            for (item, etype), value in values.items():
+                amap.set_evidence(item, etype, value)
+            store.annotate_map(amap)
+
+        live = str(tmp_path / "live")
+        store = AnnotationStore("torn", directory=live, sync="always")
+        write(store, pre)
+        wal_path = pathlib.Path(live) / "store.wal"
+        base_size = wal_path.stat().st_size
+        write(store, post)
+        directory = crash_image(store.graph, live, tmp_path / "image")
+        full = (pathlib.Path(directory) / "store.wal").read_bytes()
+        last = full[base_size:]
+        assert len(list(RecordScanner(last))) == 1, "one upsert, one record"
+        expected_pre = {pair: pre.get(pair) for pair in post}
+        work = tmp_path / "work"
+
+        def read_back(cut):
+            if work.exists():
+                shutil.rmtree(work)
+            shutil.copytree(directory, work)
+            (work / "store.wal").write_bytes(full[: base_size + cut])
+            assert verify_store(str(work))["ok"], f"cut {cut}"
+            reopened = AnnotationStore("torn", directory=str(work), sync="none")
+            try:
+                for item, etype in post:
+                    nodes = [
+                        node
+                        for node in reopened.graph.objects(
+                            item, Q["contains-evidence"]
+                        )
+                        if (node, RDF.type, etype) in reopened.graph
+                    ]
+                    assert len(nodes) <= 1, f"cut {cut}: two values"
+                return {
+                    pair: reopened.lookup(*pair) for pair in post
+                }
+            finally:
+                reopened.close()
+
+        for cut in range(len(last)):
+            assert read_back(cut) == expected_pre, f"cut {cut} mixed values"
+        assert read_back(len(last)) == post
+
     def test_interior_corruption_is_wal_corruption(self, tmp_path):
         live = str(tmp_path / "live")
         graph = populated_store_graph(live, n=8)

@@ -477,6 +477,13 @@ class TestIncrementalDifferential:
             enactor.full_recompute()
         )
         assert stream_item(99) in enactor.items
+        # the annotator retracted the pairs it no longer computes: both
+        # sides of the differential read the same repository, so a
+        # stale row there would go unnoticed by the byte comparison
+        cache = scenario.framework.cache
+        assert cache.lookup_all(stream_item(0)) == {}
+        assert cache.lookup(stream_item(1), Q.HitRatio) is None
+        assert cache.lookup_all(stream_item(1))
 
     def test_threshold_edit_rebuilds_the_filter_and_matches(self):
         scenario, enactor = make_enactor()
