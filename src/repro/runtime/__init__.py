@@ -6,10 +6,13 @@ turns that per-call facade into a throughput-oriented service:
 * :class:`~repro.runtime.parallel.ParallelEnactor` — wavefront
   scheduling over the compiled workflow DAG, output-identical to the
   serial enactor;
-* :class:`~repro.runtime.service.ExecutionService` — a bounded job
-  queue drained by a worker pool, with job handles/futures, batched
-  submission, admission control (block/reject backpressure) and
-  graceful draining shutdown;
+* :class:`~repro.runtime.frontend.RuntimeFrontEnd` — the one front
+  end both backends share: job handles/futures, batched submission,
+  admission control (block/reject backpressure, counted in jobs),
+  stats, dead letters, graceful draining shutdown, and the single step
+  that settles a finished or failed job;
+* :class:`~repro.runtime.service.ExecutionService` — the thread
+  backend, whose run step is a worker pool enacting whole jobs;
 * :mod:`~repro.runtime.metrics` — per-job measurements (queue wait,
   enactment wall time, per-processor timings, annotation-cache hits)
   and aggregate :class:`~repro.runtime.metrics.RuntimeStats`.
@@ -25,11 +28,12 @@ collected on ``ExecutionService.dead_letters``.
 CPU-bound workloads can switch to the sharded process pool —
 :class:`~repro.runtime.process.ProcessExecutionService`, selected via
 ``RuntimeConfig(backend="process", shards=N)`` or
-``REPRO_RUNTIME_BACKEND=process`` — which streams the item-partitionable
-stages of each view (annotate/enrich/item-local QA) through forked
-worker processes, each owning one hash partition
-(:mod:`~repro.runtime.shard`) of the data and of the annotation
-repositories, with collection-scoped stages back in the parent.
+``REPRO_RUNTIME_BACKEND=process`` — the same front end over a different
+run step: it streams the item-partitionable stages of each view
+(annotate/enrich/item-local QA) through forked worker processes, each
+owning one hash partition (:mod:`~repro.runtime.shard`) of the data and
+of the annotation repositories, with collection-scoped stages back in
+the parent.
 
 Obtain a configured engine via ``QuratorFramework.runtime()``.
 """

@@ -35,15 +35,19 @@ def default_workers() -> int:
 
 @dataclass(frozen=True)
 class RuntimeConfig:
-    """Tunables of one :class:`repro.runtime.service.ExecutionService`.
+    """Tunables of one runtime (either backend).
 
     ``workers``
         Threads draining the job queue (each runs whole enactments).
     ``queue_size``
-        Bound of the job queue; ``0`` means unbounded (no backpressure).
+        Jobs admitted beyond the backend's slots (worker threads or
+        shard processes): a submit is admitted while fewer than
+        ``queue_size + slots`` jobs are outstanding; ``0`` means
+        unbounded (no backpressure).
     ``queue_policy``
         What a submit against a full queue does: ``"block"`` waits for
-        a slot, ``"reject"`` raises ``QueueFullError`` immediately.
+        a job to finish, ``"reject"`` raises ``QueueFullError``
+        immediately.
     ``parallel_enactment``
         When true, each job is enacted by a wavefront
         :class:`~repro.runtime.parallel.ParallelEnactor` (independent

@@ -44,9 +44,15 @@ are retried (within ``job_retries``) or dead-lettered with a
 machine-readable :class:`WorkerLostError`, and the loss is emitted as a
 structured ``runtime.worker_lost`` event.
 
-Contract notes relative to the thread backend: the admission queue,
-block/reject policies, ``drain``/``shutdown``, job retries,
-dead-lettering, and the ``job.finished`` event are identical.
+Everything a caller sees — admission under block/reject, handles,
+stats, ``drain``/``shutdown``, dead-lettering and the ``job.finished``
+event — is the shared :class:`~repro.runtime.frontend.RuntimeFrontEnd`;
+this module supplies only the run step: the dispatcher, the collectors,
+the watchdog, the residual ``_assemble``, the ordered cache-clear
+marker and the worker stop.  A job runs under the runtime's invoker,
+else its view's: the parent fires residual stages under it, and the
+view's :class:`~repro.resilience.ResilienceConfig` travels with the
+``view`` message so workers build the same policy.
 ``submit_workflow`` is not supported (raw workflows carry no stage
 plan); services must be registered on the framework *before* the
 runtime is built (workers inherit the framework at fork time); and
@@ -56,6 +62,8 @@ its transient repositories between batches, never mid-chunk.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import multiprocessing
 import queue
 import threading
@@ -73,23 +81,16 @@ from typing import (
 )
 
 from repro.annotation.map import AnnotationMap
-from repro.observability import (
-    current_span,
-    get_event_log,
-    get_registry,
-    start_span,
-    use_span,
-)
+from repro.observability import current_span, get_registry
 from repro.observability.forwarding import (
     publish_chunk_record,
     publish_worker_event,
     set_worker_gauge,
 )
 from repro.rdf import URIRef
-from repro.runtime.config import POLICY_REJECT, RuntimeConfig
-from repro.runtime.jobs import JobBatch, JobHandle
-from repro.runtime.metrics import RuntimeStats, RuntimeStatsSnapshot
-from repro.runtime.service import QueueFullError, RuntimeClosedError
+from repro.runtime.config import RuntimeConfig
+from repro.runtime.frontend import STOP, RuntimeFrontEnd
+from repro.runtime.jobs import JobHandle
 from repro.runtime.shard import ShardSpec, chunked, partition
 from repro.serving import wire
 from repro.workflow.enactor import (
@@ -107,8 +108,9 @@ if TYPE_CHECKING:
 #: Enactment-strategy label of the parent's residual stages.
 KIND_PROCESS = "process"
 
-#: Parent-queue sentinel telling the dispatcher to exit.
-_STOP = object()
+#: Parent-queue marker: workers reset their transient repositories
+#: after every chunk queued before it.
+_CLEAR = object()
 
 #: Watchdog poll interval, seconds.
 _WATCH_INTERVAL = 0.2
@@ -163,6 +165,17 @@ def _empty_stage_value(port: str) -> Any:
     return []
 
 
+def _resilience_document(config) -> Dict[str, Any]:
+    """A :class:`~repro.resilience.ResilienceConfig` as a wire-safe dict;
+    ``ResilienceConfig(**document)`` rebuilds it on a worker."""
+    document = {
+        field.name: getattr(config, field.name)
+        for field in dataclasses.fields(config)
+    }
+    document["on_failure_overrides"] = dict(config.on_failure_overrides)
+    return document
+
+
 class _PendingJob:
     """Parent-side state of one dispatched job (one attempt at a time)."""
 
@@ -175,6 +188,8 @@ class _PendingJob:
         shardable: Tuple[str, ...],
         attempts_left: int,
         submitter_span: Any,
+        policy: Any,
+        resilience: Optional[Dict[str, Any]],
     ) -> None:
         self.handle = handle
         self.view = view
@@ -183,7 +198,16 @@ class _PendingJob:
         self.shardable = shardable
         self.attempts_left = attempts_left
         self.submitter_span = submitter_span
+        #: The job's invoker, fired by the parent's residual stages.
+        self.policy = policy
+        #: The view's policy for the workers, when the runtime has none.
+        self.resilience = resilience
+        #: Names the view message on the workers; a view policy is part
+        #: of it, so a later ``with_resilience`` ships a fresh message.
         self.fingerprint: str = workflow.source_fingerprint or workflow.name
+        if resilience is not None:
+            digest = hashlib.blake2b(wire.dumps(resilience), digest_size=8)
+            self.fingerprint += "+" + digest.hexdigest()
         self.attempt = 0
         self.expected = 0
         self.received = 0
@@ -244,10 +268,10 @@ class _PendingJob:
         return _empty_stage_value(key[1])
 
 
-class ProcessExecutionService:
+class ProcessExecutionService(RuntimeFrontEnd):
     """Concurrent quality-view execution on a sharded process pool.
 
-    Same caller-facing contract as the thread
+    Same caller-facing front end as the thread
     :class:`~repro.runtime.service.ExecutionService` — obtained via
     ``framework.runtime(backend="process", shards=N)``, usable as a
     context manager, draining on exit.
@@ -258,23 +282,8 @@ class ProcessExecutionService:
         framework: "QuratorFramework",
         config: Optional[RuntimeConfig] = None,
     ) -> None:
-        self.framework = framework
-        self.config = (config or RuntimeConfig()).validated()
-        self.shards = self.config.effective_shards()
-        self.stats = RuntimeStats(self.config.name)
-        self.dead_letters: List[JobHandle] = []
-        self.invoker = None
-        if self.config.resilience is not None:
-            from repro.resilience import ResilientInvoker
-
-            self.invoker = ResilientInvoker(
-                self.config.resilience, services=framework.services
-            )
-        get_registry().gauge(
-            "repro_runtime_worker_pool_size",
-            "Configured worker threads of the execution service.",
-            labels=("runtime",),
-        ).labels(runtime=self.config.name).set(self.shards)
+        super().__init__(framework, config)
+        self.shards = self.slots
         try:
             self._ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -283,12 +292,6 @@ class ProcessExecutionService:
                 "method (workers inherit the framework); this platform "
                 "does not provide it — use backend='thread'"
             ) from None
-        self._queue: "queue.Queue" = queue.Queue(maxsize=self.config.queue_size)
-        self._lock = threading.Lock()
-        self._idle = threading.Condition(self._lock)
-        self._outstanding = 0
-        self._closed = False
-        self._job_counter = 0
         #: (job_id, attempt) -> _PendingJob, for part/error routing.
         self._pending: Dict[Tuple[int, int], _PendingJob] = {}
         #: Per shard: view fingerprints already shipped to that worker.
@@ -299,7 +302,6 @@ class ProcessExecutionService:
         #: collector threads retire and stale queues are abandoned.
         self._generation = [0] * self.shards
         self._inboxes: List[Any] = [None] * self.shards
-        self._outboxes: List[Any] = [None] * self.shards
         self._workers: List[Any] = [None] * self.shards
         #: Set once the shutdown path has reaped every worker process;
         #: collectors use it as their drain-complete exit signal.
@@ -319,70 +321,8 @@ class ProcessExecutionService:
         self._dispatcher.start()
         self._watchdog.start()
 
-    # -- submission --------------------------------------------------------
-
-    def submit(
-        self,
-        view: "QualityView",
-        items: Sequence[URIRef],
-        *,
-        clear_cache: bool = False,
-        name: str = "",
-        timeout: Optional[float] = None,
-    ) -> JobHandle:
-        """Queue one quality-view execution; returns its handle.
-
-        Compilation (and the stage-plan split) happens eagerly so
-        planning errors surface at submission.  ``clear_cache=True``
-        enqueues an ordered clear barrier ahead of the job, so workers
-        reset transient repositories after every previously submitted
-        job's chunks and before this one's.
-        """
-        from repro.qv.backend import shardable_processors
-
-        workflow = view.compile()
-        shardable = shardable_processors(workflow)
-        if clear_cache:
-            self.framework.repositories.clear_transient()
-        handle = self._new_handle(name or f"qv-{view.name}")
-        job = _PendingJob(
-            handle,
-            view,
-            workflow,
-            list(items),
-            shardable,
-            attempts_left=self.config.job_retries,
-            submitter_span=current_span(),
-        )
-        self._enqueue(job, timeout, clear_first=clear_cache)
-        return handle
-
-    def submit_many(
-        self,
-        view: "QualityView",
-        datasets: Sequence[Sequence[URIRef]],
-        *,
-        clear_cache: bool = True,
-        name: str = "",
-        timeout: Optional[float] = None,
-    ) -> JobBatch:
-        """Push N datasets through one view as one batch of jobs."""
-        view.compile()
-        if clear_cache:
-            self.framework.repositories.clear_transient()
-            self._enqueue_control("clear", timeout)
-        prefix = name or f"qv-{view.name}"
-        handles = [
-            self.submit(
-                view,
-                dataset,
-                clear_cache=False,
-                name=f"{prefix}[{index}]",
-                timeout=timeout,
-            )
-            for index, dataset in enumerate(datasets)
-        ]
-        return JobBatch(handles)
+    def _slot_count(self) -> int:
+        return self.config.effective_shards()
 
     def submit_workflow(self, workflow, inputs=None, **kwargs):
         """Unsupported here: raw workflows carry no shardable stage plan."""
@@ -391,33 +331,44 @@ class ProcessExecutionService:
             "workflow enactments through backend='thread'"
         )
 
-    # -- lifecycle ---------------------------------------------------------
+    # -- the run step ------------------------------------------------------
 
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Wait until no job is queued or running; False on timeout."""
-        with self._idle:
-            return self._idle.wait_for(lambda: self._outstanding == 0, timeout)
+    def _view_job(
+        self,
+        handle: JobHandle,
+        view: "QualityView",
+        workflow,
+        items: List[URIRef],
+        policy,
+    ) -> _PendingJob:
+        from repro.qv.backend import shardable_processors
 
-    def shutdown(
-        self, drain: bool = True, timeout: Optional[float] = None
-    ) -> None:
-        """Stop the service; see the thread backend for the contract."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-        if drain:
-            self.drain(timeout)
-        else:
-            while True:
-                try:
-                    entry = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if isinstance(entry, _PendingJob):
-                    entry.handle.cancel()
-                    self._job_done()
-        self._queue.put(_STOP)
+        # Workers build the runtime's own policy from the config they
+        # inherited; only a view's policy has to travel.
+        resilience = None
+        if self.invoker is None and policy is not None:
+            resilience = _resilience_document(policy.config)
+        return _PendingJob(
+            handle,
+            view,
+            workflow,
+            items,
+            shardable_processors(workflow),
+            attempts_left=self.config.job_retries,
+            submitter_span=current_span(),
+            policy=policy,
+            resilience=resilience,
+        )
+
+    def _clear_cache(self) -> None:
+        """Clear the parent's repositories and queue an ordered marker,
+        so workers clear theirs after every previously queued job's
+        chunks and before the next one's."""
+        super()._clear_cache()
+        self._queue.put(_CLEAR)
+
+    def _stop(self, timeout: Optional[float]) -> None:
+        self._queue.put(STOP)
         self._watchdog_stop.set()
         for shard in range(self.shards):
             if not self._shard_dead[shard]:
@@ -434,105 +385,6 @@ class ProcessExecutionService:
         self._dispatcher.join(self.config.worker_timeout)
         self._watchdog.join(self.config.worker_timeout)
         set_worker_gauge(self.config.name, 0)
-
-    def __enter__(self) -> "ProcessExecutionService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown(drain=exc_info[0] is None)
-
-    @property
-    def closed(self) -> bool:
-        """Whether the service still accepts submissions."""
-        with self._lock:
-            return self._closed
-
-    @property
-    def outstanding(self) -> int:
-        """Jobs accepted and not yet finished (queued + running)."""
-        with self._lock:
-            return self._outstanding
-
-    def queue_depth(self) -> int:
-        """Jobs waiting in the parent admission queue right now."""
-        return self._queue.qsize()
-
-    def snapshot(self) -> RuntimeStatsSnapshot:
-        """A point-in-time reading of the runtime's counters.
-
-        Resilience counters cover the parent's residual stages only;
-        worker-side invocation retries surface through the
-        ``repro_runtime_proc_*`` chunk records instead.
-        """
-        with self._lock:
-            outstanding = self._outstanding
-        return self.stats.snapshot(
-            invoker=self.invoker, outstanding=outstanding
-        )
-
-    # -- admission ---------------------------------------------------------
-
-    def _new_handle(self, name: str) -> JobHandle:
-        with self._lock:
-            self._job_counter += 1
-            job_id = self._job_counter
-        handle = JobHandle(job_id, name=f"{name}#{job_id}")
-        handle._on_cancel = self.stats.on_cancel
-        return handle
-
-    def _enqueue_control(self, kind: str, timeout: Optional[float]) -> None:
-        """Queue a control marker behind previously submitted jobs."""
-        with self._lock:
-            if self._closed:
-                raise RuntimeClosedError(
-                    f"runtime {self.config.name!r} is shut down"
-                )
-        self._queue.put((kind,), timeout=timeout)
-
-    def _enqueue(
-        self, job: _PendingJob, timeout: Optional[float], clear_first: bool
-    ) -> None:
-        with self._lock:
-            if self._closed:
-                raise RuntimeClosedError(
-                    f"runtime {self.config.name!r} is shut down"
-                )
-            self._outstanding += 1
-        if clear_first:
-            self._queue.put(("clear",))
-        try:
-            if self.config.queue_policy == POLICY_REJECT:
-                try:
-                    self._queue.put_nowait(job)
-                except queue.Full:
-                    raise QueueFullError(
-                        f"job queue is full ({self.config.queue_size}); "
-                        f"retry later or use queue_policy='block'",
-                        reason="queue_full",
-                        queue_depth=self._queue.qsize(),
-                        capacity=self.config.queue_size,
-                    ) from None
-            else:
-                try:
-                    self._queue.put(job, timeout=timeout)
-                except queue.Full:
-                    raise QueueFullError(
-                        f"job queue stayed full for {timeout}s",
-                        reason="queue_timeout",
-                        queue_depth=self._queue.qsize(),
-                        capacity=self.config.queue_size,
-                    ) from None
-        except QueueFullError:
-            self._job_done()
-            self.stats.on_reject()
-            raise
-        self.stats.on_submit()
-
-    def _job_done(self) -> None:
-        with self._idle:
-            self._outstanding -= 1
-            if self._outstanding == 0:
-                self._idle.notify_all()
 
     # -- worker pool -------------------------------------------------------
 
@@ -551,7 +403,6 @@ class ProcessExecutionService:
         with self._lock:
             generation = self._generation[shard]
             self._inboxes[shard] = inbox
-            self._outboxes[shard] = outbox
             self._workers[shard] = process
         collector = threading.Thread(
             target=self._collect_loop,
@@ -583,20 +434,14 @@ class ProcessExecutionService:
 
     def _dispatch_loop(self) -> None:
         while True:
-            entry = self._queue.get()
-            if entry is _STOP:
+            job = self._take()
+            if job is STOP:
                 return
-            if isinstance(entry, tuple):
-                if entry[0] == "clear":
-                    for shard in range(self.shards):
-                        if not self._shard_dead[shard]:
-                            self._send(shard, {"kind": "clear"})
+            if job is _CLEAR:
+                for shard in range(self.shards):
+                    if not self._shard_dead[shard]:
+                        self._send(shard, {"kind": "clear"})
                 continue
-            job: _PendingJob = entry
-            if not job.handle._try_start():
-                self._job_done()
-                continue
-            self.stats.on_start()
             try:
                 self._dispatch(job)
             except Exception as exc:  # noqa: BLE001 - dispatch fault boundary
@@ -655,6 +500,7 @@ class ProcessExecutionService:
                 "xml": job.view.to_xml(),
                 "processors": sorted(job.workflow.processors),
                 "shardable": list(job.shardable),
+                "resilience": job.resilience,
             })
         for shard, document in messages:
             self._send(shard, document)
@@ -755,67 +601,30 @@ class ProcessExecutionService:
                 return
             except Exception as exc:  # noqa: BLE001 - retry dispatch failed
                 error = exc if isinstance(exc, WorkerLostError) else error
-        handle = job.handle
-        handle._fail(error)
-        with self._lock:
-            self.dead_letters.append(handle)
-        self.stats.on_dead_letter()
-        self.stats.on_finish(handle.metrics, failed=True)
-        get_event_log().emit(
-            "job.finished",
-            job=handle.name,
-            runtime=self.config.name,
-            outcome="failed",
-            retries=handle.metrics.retries,
-            cache_lookups=handle.metrics.cache_lookups,
-            cache_hits=handle.metrics.cache_hits,
-        )
-        self._job_done()
+        self._settle(job.handle, error=error)
 
     def _finalize(self, job: _PendingJob) -> None:
         """Merge frontiers, run the residual stages, finish the handle."""
         handle = job.handle
-        failed = False
-        residual_error: Optional[Exception] = None
-        with use_span(job.submitter_span):
-            with start_span(
-                f"job:{handle.name}",
-                always=True,
-                boundary=True,
-                job=handle.name,
-                runtime=self.config.name,
-            ) as span:
-                try:
-                    result, trace = self._assemble(job)
-                except Exception as exc:  # noqa: BLE001 - residual boundary
-                    failed = True
-                    residual_error = exc
-                    span.end(status="error")
-                else:
-                    handle.metrics.record_trace(trace)
-                    handle.metrics.cache_lookups = job.cache_lookups + int(
-                        span.counter("cache.lookups")
-                    )
-                    handle.metrics.cache_hits = job.cache_hits + int(
-                        span.counter("cache.hits")
-                    )
-                    result.metrics = handle.metrics
-                    handle._finish(result)
-        if failed:
-            assert residual_error is not None
-            self._handle_job_failure(job, residual_error)
+        error: Optional[Exception] = None
+        with self._job_span(job) as span:
+            try:
+                result, trace = self._assemble(job)
+            except Exception as exc:  # noqa: BLE001 - residual boundary
+                error = exc
+                span.end(status="error")
+        if error is not None:
+            self._handle_job_failure(job, error)
             return
-        self.stats.on_finish(handle.metrics, failed=False)
-        get_event_log().emit(
-            "job.finished",
-            job=handle.name,
-            runtime=self.config.name,
-            outcome="completed",
-            retries=handle.metrics.retries,
-            cache_lookups=handle.metrics.cache_lookups,
-            cache_hits=handle.metrics.cache_hits,
+        handle.metrics.record_trace(trace)
+        handle.metrics.cache_lookups = job.cache_lookups + int(
+            span.counter("cache.lookups")
         )
-        self._job_done()
+        handle.metrics.cache_hits = job.cache_hits + int(
+            span.counter("cache.hits")
+        )
+        result.metrics = handle.metrics
+        self._settle(handle, result)
 
     def _assemble(self, job: _PendingJob):
         """The parent's residual enactment over the merged frontier."""
@@ -835,7 +644,7 @@ class ProcessExecutionService:
                 [n for n in workflow.topological_order() if n not in region],
                 values,
                 trace,
-                self.invoker,
+                job.policy,
             )
         outputs = collect_workflow_outputs(workflow, values)
         result = job.view._package(list(job.items), workflow, outputs)
@@ -918,12 +727,14 @@ class ProcessExecutionService:
 
 
 class _WorkerView:
-    """One compiled view on a worker: workflow, stage plan, frontier."""
+    """One compiled view on a worker: workflow, stage plan, frontier,
+    and the invoker its stages fire under."""
 
-    def __init__(self, workflow, shardable: Sequence[str]) -> None:
+    def __init__(self, workflow, shardable: Sequence[str], invoker) -> None:
         from repro.qv.backend import STAGE_ORDER, stage_chain
 
         self.workflow = workflow
+        self.invoker = invoker
         self.region = set(shardable)
         chain = stage_chain(workflow)
         self.stages = {stage: chain.get(stage, ()) for stage in STAGE_ORDER}
@@ -970,11 +781,11 @@ def _worker_main(spec, config, framework, inbox, outbox) -> None:
     # thread); telemetry leaves this process as wire records instead.
     disable()
     framework.repositories.configure_shard(spec)
-    invoker = None
-    if config.resilience is not None:
-        from repro.resilience import ResilientInvoker
+    from repro.resilience import ResilienceConfig, ResilientInvoker
 
-        invoker = ResilientInvoker(
+    runtime_invoker = None
+    if config.resilience is not None:
+        runtime_invoker = ResilientInvoker(
             config.resilience, services=framework.services
         )
 
@@ -984,6 +795,20 @@ def _worker_main(spec, config, framework, inbox, outbox) -> None:
 
     def emit(document: Mapping[str, Any]) -> None:
         outbox.put(wire.encode_message(document))
+
+    def emit_error(job, attempt, seq, failure: BaseException,
+                   processor: str = "", **extra: Any) -> None:
+        """Report one chunk's failure to the parent."""
+        emit({
+            "kind": "error",
+            "shard": spec.index,
+            "job": job,
+            "attempt": attempt,
+            "seq": seq,
+            "processor": processor,
+            "error": {"type": type(failure).__name__, "message": str(failure)},
+            **extra,
+        })
 
     def run_stage(stage: str, chunk: _Chunk) -> bool:
         """Fire one stage's processors over one chunk; False on error."""
@@ -995,7 +820,7 @@ def _worker_main(spec, config, framework, inbox, outbox) -> None:
         try:
             fire_in_order(
                 workflow, chunk.view.stages[stage], chunk.values, trace,
-                invoker,
+                chunk.view.invoker,
             )
         except Exception as exc:  # noqa: BLE001 - chunk fault boundary
             failure = exc
@@ -1015,17 +840,7 @@ def _worker_main(spec, config, framework, inbox, outbox) -> None:
             processor = ""
             if isinstance(failure, EnactmentError):
                 processor, failure = failure.processor, failure.cause
-            emit({
-                "kind": "error",
-                "shard": spec.index,
-                "job": chunk.job,
-                "attempt": chunk.attempt,
-                "seq": chunk.seq,
-                "processor": processor,
-                "error": {
-                    "type": type(failure).__name__, "message": str(failure)
-                },
-            })
+            emit_error(chunk.job, chunk.attempt, chunk.seq, failure, processor)
             return False
         after_lookups, after_hits = framework.repositories.lookup_stats()
         chunk.cache_lookups += after_lookups - before_lookups
@@ -1042,15 +857,7 @@ def _worker_main(spec, config, framework, inbox, outbox) -> None:
                 for proc, port in chunk.view.frontier
             ]
         except wire.WireError as exc:
-            emit({
-                "kind": "error",
-                "shard": spec.index,
-                "job": chunk.job,
-                "attempt": chunk.attempt,
-                "seq": chunk.seq,
-                "processor": "",
-                "error": {"type": "WireError", "message": str(exc)},
-            })
+            emit_error(chunk.job, chunk.attempt, chunk.seq, exc)
             return
         emit({
             "kind": "part",
@@ -1146,8 +953,14 @@ def _worker_main(spec, config, framework, inbox, outbox) -> None:
                         f"{document['processors']}; non-default compile "
                         f"options are not supported on the process backend"
                     )
+                invoker = runtime_invoker
+                if document.get("resilience") is not None:
+                    invoker = ResilientInvoker(
+                        ResilienceConfig(**document["resilience"]),
+                        services=framework.services,
+                    )
                 views[fingerprint] = _WorkerView(
-                    workflow, document["shardable"]
+                    workflow, document["shardable"], invoker
                 )
             except Exception as exc:  # noqa: BLE001 - compile boundary
                 emit({
@@ -1163,22 +976,14 @@ def _worker_main(spec, config, framework, inbox, outbox) -> None:
         if kind == "chunk":
             view = views.get(document["fingerprint"])
             if view is None:
-                emit({
-                    "kind": "error",
-                    "shard": spec.index,
-                    "job": document["job"],
-                    "attempt": document["attempt"],
-                    "seq": document["seq"],
-                    "processor": "",
-                    "code": "unknown_view",
-                    "error": {
-                        "type": "RuntimeError",
-                        "message": (
-                            f"chunk references unknown view "
-                            f"{document['fingerprint']!r}"
-                        ),
-                    },
-                })
+                emit_error(
+                    document["job"], document["attempt"], document["seq"],
+                    RuntimeError(
+                        f"chunk references unknown view "
+                        f"{document['fingerprint']!r}"
+                    ),
+                    code="unknown_view",
+                )
                 continue
             items = [URIRef(item) for item in document["items"]]
             first_stage.put((

@@ -114,25 +114,32 @@ class ViewRegistry:
     # -- durability --------------------------------------------------------
 
     def _persist(self, record: RegisteredView) -> None:
-        """Write one registration's current state to the durable graph."""
+        """Write one registration's current state to the durable graph.
+
+        One :meth:`Graph.update`: only the net change is written, as one
+        WAL record, so a crash restores the old registration or the new
+        one and an unchanged re-register writes nothing.
+        """
         graph = self._durable
         if graph is None or not record.xml:
             return
         subject = _view_subject(record.name)
-        with graph._write_lock:
-            graph.remove(subject, None, None)
-            graph.add(subject, SV.name, Literal(record.name))
-            graph.add(subject, SV.xml, Literal(record.xml))
-            graph.add(subject, SV.version, Literal(record.version))
-            for tenant in sorted(record.tenants):
-                graph.add(subject, SV.tenant, Literal(tenant))
+        additions = [
+            (subject, SV.name, Literal(record.name)),
+            (subject, SV.xml, Literal(record.xml)),
+            (subject, SV.version, Literal(record.version)),
+        ] + [
+            (subject, SV.tenant, Literal(tenant))
+            for tenant in sorted(record.tenants)
+        ]
+        graph.update([(subject, None, None)], additions)
         graph.flush()
 
     def _forget(self, name: str) -> None:
         graph = self._durable
         if graph is None:
             return
-        graph.remove(_view_subject(name), None, None)
+        graph.update([(_view_subject(name), None, None)])
         graph.flush()
 
     def _restore(self) -> None:

@@ -21,9 +21,11 @@ pieces of memo state per view:
 Applying a :class:`~repro.stream.delta.Delta` re-fires those compiled
 processors over affected subsets:
 
-1. every touched item is re-annotated (its repository rows are
-   retracted first — the memo-ownership invariant: a store written by
-   the view's annotators is owned by them, per item),
+1. every touched item is re-annotated: each annotator upserts every
+   declared (item, evidence type) pair it computes a value for and
+   retracts the pairs it has none for, so the store holds exactly the
+   feed's current values (a store written by the view's annotators is
+   owned by them, per item),
 2. the evidence memo is refreshed for touched items through keyed
    ``lookup_all`` reads, and the *observed* evidence diff decides which
    assertions are affected,
@@ -39,9 +41,9 @@ processors over affected subsets:
    filter condition in the view spec, recompile the view and re-read
    the actions from the new plan.
 
-``full_recompute()`` is the differential oracle: it retracts the
-annotator-owned rows for every tracked item and runs the view's normal
-batch path over the same data set.  ``apply`` results must serialize
+``full_recompute()`` is the differential oracle: it runs the view's
+normal batch path over the same data set, whose annotators rewrite
+every declared pair of every tracked item the same way.  ``apply`` results must serialize
 byte-equal to it.
 """
 

@@ -296,9 +296,11 @@ class NestedWorkflowProcessor(Processor):
         self._enactor = enactor
 
     def fire(self, inputs: Dict[str, Any]) -> Dict[str, Any]:
-        """Consume one set of inputs, produce all outputs."""
+        """Enact the inner workflow under the outer run's invoker."""
 
         from repro.workflow.enactor import Enactor
 
         enactor = self._enactor if self._enactor is not None else Enactor()
-        return enactor.run(self.workflow, inputs)
+        return enactor.enact(
+            self.workflow, inputs, ACTIVE_INVOKER.get()
+        ).outputs

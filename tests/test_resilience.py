@@ -35,11 +35,16 @@ from repro.resilience import (
 )
 from repro.runtime import JobStatus, RuntimeConfig
 from repro.runtime.config import default_backend
+from repro.serving import wire
 from repro.services.interface import Service, ServiceFault
 from repro.services.messages import AnnotationMapMessage, DataSetMessage
 from repro.workflow.enactor import EnactmentError, Enactor
 from repro.workflow.model import Port, Workflow
-from repro.workflow.processors import PythonProcessor, WSDLProcessor
+from repro.workflow.processors import (
+    NestedWorkflowProcessor,
+    PythonProcessor,
+    WSDLProcessor,
+)
 
 
 class FakeClock:
@@ -823,6 +828,76 @@ class TestFireTimeResilience:
                 assert degraded.status is JobStatus.SUCCEEDED
             again = plain.submit(view, items)
             assert again.wait(30) and again.status is JobStatus.FAILED
+
+    def test_nested_workflows_fire_under_the_outer_policy(self):
+        def nested_over(service):
+            inner = Workflow("inner")
+            inner.add_input("dataSet")
+            inner.add_output("annotationMap")
+            inner.add_processor(WSDLProcessor("call", service))
+            inner.connect("", "dataSet", "call", "dataSet")
+            inner.link(Port("call", "annotationMap"), Port("", "annotationMap"))
+            outer = Workflow("outer")
+            outer.add_input("dataSet")
+            outer.add_output("annotationMap")
+            outer.add_processor(NestedWorkflowProcessor("nested", inner))
+            outer.connect("", "dataSet", "nested", "dataSet")
+            outer.link(
+                Port("nested", "annotationMap"), Port("", "annotationMap")
+            )
+            return outer
+
+        # Without a policy the flaky inner service fails the run...
+        with pytest.raises(EnactmentError, match="'nested'"):
+            Enactor().enact(
+                nested_over(ScriptedService("flaky", fail_times=2)),
+                {"dataSet": []},
+            )
+        # ...and the outer run's retries reach into the nested workflow.
+        flaky = ScriptedService("flaky", fail_times=2)
+        invoker = ResilientInvoker(ResilienceConfig(
+            max_attempts=3, backoff_base=0.0, breaker_threshold=0,
+        ))
+        enacted = Enactor(invoker=invoker).enact(
+            nested_over(flaky), {"dataSet": []}
+        )
+        assert isinstance(enacted.outputs["annotationMap"], AnnotationMap)
+        assert flaky.calls == 3
+        assert invoker.snapshot().retries == 2
+
+    def test_a_view_policy_reaches_process_workers(
+        self, scenario, result_set
+    ):
+        """A runtime without ``resilience`` runs a view under the view's
+        own policy on both backends, with byte-equal results, and a
+        later ``with_resilience`` replaces it on the workers too."""
+        framework, view = _failing_view_world(
+            scenario, result_set, on_failure=ON_FAILURE_SKIP
+        )
+        items = result_set.items()
+        skipping = view.invoker
+        failing = framework.resilient_invoker(ResilienceConfig(
+            max_attempts=1, backoff_base=0.0, breaker_threshold=0,
+        ))
+        encoded = {}
+        for backend in ("thread", "process"):
+            view.with_resilience(skipping)
+            with framework.runtime(
+                workers=2, backend=backend, name=f"view-policy-{backend}"
+            ) as service:
+                outcome = service.submit(view, items, clear_cache=True)
+                encoded[backend] = (
+                    list(outcome.result(60).items),
+                    wire.encode_typed_map(outcome.result().annotation_map),
+                    outcome.result().groups,
+                )
+                view.with_resilience(failing)
+                failed = service.submit(view, items, clear_cache=True)
+                assert failed.wait(60) and failed.status is JobStatus.FAILED
+                assert "HR score" in str(failed.exception())
+        assert encoded["thread"] == encoded["process"]
+        degraded = outcome.result().annotation_map  # the process run's
+        assert all("HR" not in degraded.tags_for(item) for item in items)
 
     def test_runs_never_write_to_the_compiled_plan(self):
         from repro.stream import IncrementalEnactor

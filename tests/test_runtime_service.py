@@ -1,12 +1,20 @@
-"""The execution service: queueing, backpressure, metrics, stress."""
+"""The execution service: queueing, backpressure, metrics, stress.
+
+Raw-workflow jobs (``submit_workflow``) exist on the thread backend
+only, so those tests pin ``backend="thread"``; the view-job admission
+contract in :class:`TestViewAdmission` runs on both backends.
+"""
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 
 import pytest
 
 from repro.core.ispider import example_quality_view_xml, setup_framework
+from repro.qv.compiler import ActionProcessor
 from repro.rdf import Graph, Q, RDF, URIRef
 from repro.runtime import (
     JobCancelledError,
@@ -93,7 +101,7 @@ class TestSubmission:
         )
         workflow.connect("", "x", "bad", "x")
         workflow.link(Port("bad", "out"), Port("", "y"))
-        with framework.runtime(workers=1) as service:
+        with framework.runtime(workers=1, backend="thread") as service:
             handle = service.submit_workflow(workflow, {"x": 1})
             assert handle.wait(10)
             assert handle.status is JobStatus.FAILED
@@ -106,7 +114,9 @@ class TestSubmission:
     def test_metrics_populated(self, qv_world):
         framework, view, results = qv_world
         items = results.items()
-        with framework.runtime(workers=1) as service:
+        # Only the thread backend times every stage in this process; the
+        # process backend's workers report theirs as chunk records.
+        with framework.runtime(workers=1, backend="thread") as service:
             handle = service.submit(view, items, clear_cache=True)
             outcome = handle.result(timeout=30)
         metrics = handle.metrics
@@ -128,7 +138,7 @@ class TestAdmissionControl:
         gate, started = threading.Event(), threading.Event()
         workflow = _blocking_workflow(gate, started)
         service = framework.runtime(
-            workers=1, queue_size=1, queue_policy="reject"
+            workers=1, queue_size=1, queue_policy="reject", backend="thread"
         )
         try:
             running = service.submit_workflow(workflow, {"x": 1})
@@ -151,7 +161,7 @@ class TestAdmissionControl:
         framework, _, __ = qv_world
         gate, started = threading.Event(), threading.Event()
         workflow = _blocking_workflow(gate, started)
-        service = framework.runtime(workers=1)
+        service = framework.runtime(workers=1, backend="thread")
         try:
             running = service.submit_workflow(workflow, {"x": 1})
             assert started.wait(10)
@@ -181,7 +191,7 @@ class TestAdmissionControl:
         framework, _, __ = qv_world
         gate, started = threading.Event(), threading.Event()
         workflow = _blocking_workflow(gate, started)
-        service = framework.runtime(workers=1)
+        service = framework.runtime(workers=1, backend="thread")
         running = service.submit_workflow(workflow, {"x": 1})
         assert started.wait(10)
         queued = service.submit_workflow(workflow, {"x": 2})
@@ -209,7 +219,7 @@ class TestAdmissionControl:
         gate, started = threading.Event(), threading.Event()
         workflow = _blocking_workflow(gate, started)
         service = framework.runtime(
-            workers=1, queue_size=1, queue_policy="reject"
+            workers=1, queue_size=1, queue_policy="reject", backend="thread"
         )
         try:
             service.submit_workflow(workflow, {"x": 1})
@@ -235,7 +245,7 @@ class TestAdmissionControl:
         gate, started = threading.Event(), threading.Event()
         workflow = _blocking_workflow(gate, started)
         service = framework.runtime(
-            workers=1, queue_size=1, queue_policy="block"
+            workers=1, queue_size=1, queue_policy="block", backend="thread"
         )
         try:
             service.submit_workflow(workflow, {"x": 1})
@@ -254,7 +264,7 @@ class TestAdmissionControl:
         framework, _, __ = qv_world
         gate, started = threading.Event(), threading.Event()
         workflow = _blocking_workflow(gate, started)
-        service = framework.runtime(workers=1)
+        service = framework.runtime(workers=1, backend="thread")
         try:
             assert service.queue_depth() == 0
             assert service.outstanding == 0
@@ -278,6 +288,179 @@ class TestAdmissionControl:
         with pytest.raises(ValueError, match="queue_policy"):
             RuntimeConfig(queue_policy="drop").validated()
         assert RuntimeConfig().validated().workers == 4
+
+
+@pytest.fixture
+def parked_action(monkeypatch):
+    """Park every action firing on a gate: ``(gate, started)``.
+
+    The action is a residual stage, so on the process backend it fires
+    in the parent too: on a collector thread, or — for an empty dataset,
+    which ships no chunks — on the dispatcher, which then leaves every
+    later job queued.
+    """
+    gate, started = threading.Event(), threading.Event()
+    original = ActionProcessor.fire
+
+    def fire(self, inputs):
+        started.set()
+        assert gate.wait(30), "test gate never opened"
+        return original(self, inputs)
+
+    monkeypatch.setattr(ActionProcessor, "fire", fire)
+    yield gate, started
+    gate.set()
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+class TestViewAdmission:
+    """The admission contract for view jobs, identical on both backends:
+    a submit is admitted while fewer than ``queue_size + slots`` jobs
+    are outstanding (one slot here: one worker thread or one shard)."""
+
+    def _runtime(self, framework, backend, **overrides):
+        return framework.runtime(
+            workers=1, shards=1, backend=backend,
+            name=f"admission-{backend}", **overrides,
+        )
+
+    def test_reject_when_full(self, qv_world, parked_action, backend):
+        framework, view, results = qv_world
+        gate, started = parked_action
+        items = results.items()[:4]
+        service = self._runtime(
+            framework, backend, queue_size=1, queue_policy="reject"
+        )
+        try:
+            admitted = [service.submit(view, items)]
+            assert started.wait(30)
+            refusals = []
+            for _ in range(4):
+                try:
+                    admitted.append(service.submit(view, items))
+                except QueueFullError as exc:
+                    refusals.append(exc.details())
+                # Time for a backend to move admitted jobs on; the
+                # bound counts jobs wherever they wait.
+                time.sleep(0.01)
+            assert len(admitted) == 2
+            assert refusals == [
+                {"reason": "queue_full", "queue_depth": 1, "capacity": 1}
+            ] * 3
+            assert service.outstanding == 2
+            assert service.snapshot().rejected == 3
+            gate.set()
+            for handle in admitted:
+                assert handle.result(30).items == list(items)
+        finally:
+            gate.set()
+            service.shutdown()
+        snap = service.snapshot()
+        assert (snap.completed, snap.rejected) == (2, 3)
+
+    def test_block_times_out_then_admits(
+        self, qv_world, parked_action, backend
+    ):
+        framework, view, results = qv_world
+        gate, started = parked_action
+        items = results.items()[:4]
+        service = self._runtime(
+            framework, backend, queue_size=1, queue_policy="block"
+        )
+        try:
+            service.submit(view, items)
+            assert started.wait(30)
+            service.submit(view, items)
+            with pytest.raises(QueueFullError) as excinfo:
+                service.submit(view, items, timeout=0.05)
+            assert excinfo.value.details() == {
+                "reason": "queue_timeout", "queue_depth": 1, "capacity": 1,
+            }
+            # A blocked submitter is admitted once a job finishes.
+            admitted = []
+            waiter = threading.Thread(
+                target=lambda: admitted.append(
+                    service.submit(view, items, timeout=30)
+                )
+            )
+            waiter.start()
+            gate.set()
+            waiter.join(30)
+            assert admitted and admitted[0].result(30).items == list(items)
+        finally:
+            gate.set()
+            service.shutdown()
+        snap = service.snapshot()
+        assert (snap.completed, snap.rejected) == (3, 1)
+
+    def test_queue_depth_and_outstanding(
+        self, qv_world, parked_action, backend
+    ):
+        framework, view, results = qv_world
+        gate, started = parked_action
+        items = results.items()[:4]
+        service = self._runtime(framework, backend)
+        try:
+            assert (service.queue_depth(), service.outstanding) == (0, 0)
+            service.submit(view, items)
+            assert started.wait(30)
+            assert (service.queue_depth(), service.outstanding) == (0, 1)
+            service.submit(view, items)
+            service.submit(view, items)
+            assert (service.queue_depth(), service.outstanding) == (2, 3)
+            gate.set()
+            assert service.drain(30)
+            assert (service.queue_depth(), service.outstanding) == (0, 0)
+        finally:
+            gate.set()
+            service.shutdown()
+
+    def test_cancel_while_queued(self, qv_world, parked_action, backend):
+        framework, view, results = qv_world
+        gate, started = parked_action
+        service = self._runtime(framework, backend)
+        try:
+            running = service.submit(view, [])
+            assert started.wait(30)
+            queued = service.submit(view, results.items()[:4])
+            assert queued.cancel()
+            assert queued.status is JobStatus.CANCELLED
+            with pytest.raises(JobCancelledError):
+                queued.result(1)
+            assert not running.cancel()
+            gate.set()
+            assert running.result(30).items == []
+            assert service.drain(30)
+            assert service.outstanding == 0
+        finally:
+            gate.set()
+            service.shutdown()
+        snap = service.snapshot()
+        assert (snap.completed, snap.cancelled) == (1, 1)
+
+    def test_shutdown_without_drain_cancels_queued(
+        self, qv_world, parked_action, backend
+    ):
+        framework, view, results = qv_world
+        gate, started = parked_action
+        service = self._runtime(framework, backend)
+        running = service.submit(view, [])
+        assert started.wait(30)
+        queued = service.submit(view, results.items()[:4])
+        # The stop waits for the parked job, so shut down alongside it.
+        stopper = threading.Thread(
+            target=service.shutdown, kwargs={"drain": False}
+        )
+        stopper.start()
+        assert queued.wait(30)
+        assert queued.status is JobStatus.CANCELLED
+        with pytest.raises(RuntimeClosedError):
+            service.submit(view, results.items()[:4])
+        gate.set()
+        stopper.join(30)
+        assert not stopper.is_alive()
+        assert running.result(30).items == []
+        assert service.outstanding == 0
 
 
 class TestSnapshotUnderRaces:
@@ -304,7 +487,7 @@ class TestSnapshotUnderRaces:
     def test_snapshot_invariants_under_concurrent_submit_drain(self, qv_world):
         framework, _, __ = qv_world
         workflow = self._noop_workflow()
-        service = framework.runtime(workers=4, queue_size=8)
+        service = framework.runtime(workers=4, queue_size=8, backend="thread")
         stop = threading.Event()
         violations = []
 
@@ -352,13 +535,62 @@ class TestSnapshotUnderRaces:
         assert final.in_queue == 0
         assert final.running == 0
 
+    def test_blocked_submitters_never_exceed_the_admission_bound(
+        self, qv_world
+    ):
+        """Concurrent submitters under ``block``: outstanding jobs never
+        pass ``queue_size + workers`` and every job is admitted once."""
+        framework, _, __ = qv_world
+        workflow = self._noop_workflow()
+        service = framework.runtime(
+            workers=2, queue_size=2, queue_policy="block", backend="thread"
+        )
+        stop = threading.Event()
+        peaks = []
+        handles = []
+
+        def reader() -> None:
+            while not stop.is_set():
+                peaks.append(service.outstanding)
+
+        def submitter(base: int) -> None:
+            for i in range(30):
+                handles.append(
+                    service.submit_workflow(workflow, {"x": base + i})
+                )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        watcher = threading.Thread(target=reader)
+        submitters = [
+            threading.Thread(target=submitter, args=(100 * t,))
+            for t in range(6)
+        ]
+        try:
+            watcher.start()
+            for thread in submitters:
+                thread.start()
+            for thread in submitters:
+                thread.join(60)
+                assert not thread.is_alive()
+            assert service.drain(60)
+        finally:
+            sys.setswitchinterval(interval)
+            stop.set()
+            watcher.join(10)
+            service.shutdown()
+        assert max(peaks) <= 4
+        assert len(handles) == 180
+        assert all(handle.result(10) is not None for handle in handles)
+        assert service.snapshot().completed == 180
+
     def test_snapshot_in_queue_floors_at_zero_mid_transition(self, qv_world):
         """A worker can be between _try_start and on_start; the clamp
         keeps the published reading non-negative regardless."""
         framework, _, __ = qv_world
         gate, started = threading.Event(), threading.Event()
         workflow = _blocking_workflow(gate, started)
-        service = framework.runtime(workers=2)
+        service = framework.runtime(workers=2, backend="thread")
         try:
             service.submit_workflow(workflow, {"x": 1})
             assert started.wait(10)

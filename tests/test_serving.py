@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import shutil
 import threading
 import time
 from urllib.error import HTTPError
@@ -21,6 +22,7 @@ from urllib.request import Request, urlopen
 import pytest
 
 from repro.core.ispider import example_quality_view_xml, setup_framework
+from repro.rdf import Graph
 from repro.serving import (
     PlanCache,
     QualityViewServer,
@@ -31,6 +33,9 @@ from repro.serving import (
     WireError,
     wire,
 )
+from repro.serving.registry import _view_subject
+from repro.storage import PagedBackend
+from repro.storage.records import OP_BATCH, RecordScanner
 
 
 @pytest.fixture(scope="module")
@@ -393,6 +398,57 @@ class TestDispatch:
         assert {tenant: enact(tenant) for tenant in ("t1", "t2")} == before
         record = server.views.get("shared")
         assert record.fingerprint == view_fingerprint(record.view.spec)
+
+
+class TestDurableRegistration:
+    """A registration persists as one net-change write on the paged
+    engine: one WAL record, so a crash keeps the old or the new view."""
+
+    def test_re_register_writes_one_record_or_none(
+        self, scenario, result_set, tmp_path
+    ):
+        framework, holder = setup_framework(scenario)
+        holder.set(result_set)
+        live = tmp_path / "live"
+        graph = Graph(backend=PagedBackend(str(live), sync="always"))
+        registry = ViewRegistry(framework, PlanCache(4), durable_graph=graph)
+        subject = _view_subject("lab")
+
+        def registration(store):
+            return sorted(store.triples((subject, None, None)), key=repr)
+
+        registry.register("lab", example_quality_view_xml(), "alice")
+        old = registration(graph)
+        wal = live / "store.wal"
+        base = wal.stat().st_size
+        registry.register("lab", example_quality_view_xml(), "alice")
+        assert wal.stat().st_size == base, "an unchanged view wrote WAL"
+        registry.register(
+            "lab", example_quality_view_xml("ScoreClass in q:mid"), "alice"
+        )
+        new = registration(graph)
+        assert new != old
+        graph.flush()
+        image = tmp_path / "image"
+        shutil.copytree(live, image)
+        graph.close()
+        full = (image / "store.wal").read_bytes()
+        record = full[base:]
+        payloads = list(RecordScanner(record))
+        assert len(payloads) == 1 and payloads[0][0] == OP_BATCH
+
+        work = tmp_path / "work"
+        for cut in range(len(record) + 1):
+            if work.exists():
+                shutil.rmtree(work)
+            shutil.copytree(image, work)
+            (work / "store.wal").write_bytes(full[: base + cut])
+            reopened = Graph(backend=PagedBackend(str(work), sync="none"))
+            try:
+                expected = new if cut == len(record) else old
+                assert registration(reopened) == expected, f"cut {cut}"
+            finally:
+                reopened.close()
 
 
 class TestPlanCache:
