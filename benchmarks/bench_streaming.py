@@ -12,12 +12,25 @@ oracle the incremental path must stay byte-equal to.
 Measured: mean apply/recompute wall time per ratio, the speedup, the
 memo hit rate, and the per-step differential verdict.  Acceptance:
 every timed step byte-equal, and ≥3x speedup at delta ratios ≤10%.
+
+The scaling rows grow the data set from 2,000 to 20,000 items and time
+two delta sizes at each, reporting the median of the timed steps: a
+fixed delta of 20 items (1% of the smallest data set) and a 1% delta
+(1% of each data set).  An apply that costs
+O(|delta|) keeps the fixed-delta time flat and the 1%-delta time per
+touched item flat; both must stay within 2x of the 2,000-item row.
+The 1%-delta apply time itself grows with the delta (10x from 2,000 to
+20,000 items); its growth is reported as ``scale_one_percent_growth``
+against the same 2x bound, and it does not meet it.
+Each size ends with one byte-equal check against the full recompute.
+
 Artefacts land in ``benchmarks/results/E20_streaming.txt`` and
 ``BENCH_E20.json``.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 import time
@@ -35,6 +48,11 @@ STEPS = 5
 DELTA_RATIOS = (0.01, 0.05, 0.10, 0.25, 0.50)
 #: Required incremental speedup at delta ratios of at most 10%.
 SPEEDUP_FLOOR, SMALL_DELTA = 3.0, 0.10
+#: Data-set sizes of the scaling rows; the fixed delta is 1% of the first.
+SCALE_ITEMS = (2000, 10000, 20000)
+SCALE_RATIO = 0.01
+#: Allowed growth of the largest row's apply cost over the smallest's.
+SCALE_BOUND = 2.0
 
 
 def _result_bytes(result) -> bytes:
@@ -86,21 +104,86 @@ def _sweep_ratio(ratio: float, seed: int):
     }
 
 
+def _timed_deltas(enactor, universe, rng, batch, cursor):
+    """Median apply seconds of STEPS round-robin deltas of ``batch`` items."""
+    seconds = []
+    for _ in range(STEPS):
+        touched = [universe[(cursor + k) % len(universe)] for k in range(batch)]
+        cursor = (cursor + batch) % len(universe)
+        delta = Delta(upserts={item: random_row(rng) for item in touched})
+        started = time.perf_counter()
+        outcome = enactor.apply(delta)
+        seconds.append(time.perf_counter() - started)
+    return sorted(seconds)[STEPS // 2], cursor, outcome
+
+
+def _scale_row(items: int, seed: int):
+    """One data-set size: fixed-size and 1% deltas, then one oracle check."""
+    rng = random.Random(seed)
+    scenario = build_stream_scenario()
+    enactor = IncrementalEnactor(scenario.view, feed=scenario.table)
+    universe = [stream_item(i) for i in range(items)]
+    enactor.apply(Delta(upserts={item: random_row(rng) for item in universe}))
+    # The bootstrap's garbage is collected before, not during, the timing.
+    gc.collect()
+    fixed = max(1, int(SCALE_ITEMS[0] * SCALE_RATIO))
+    ratio = max(1, int(items * SCALE_RATIO))
+    fixed_apply, cursor, _ = _timed_deltas(enactor, universe, rng, fixed, 0)
+    ratio_apply, _, outcome = _timed_deltas(
+        enactor, universe, rng, ratio, cursor
+    )
+    byte_equal = _result_bytes(outcome.result) == _result_bytes(
+        enactor.full_recompute()
+    )
+    return {
+        "items": items,
+        "fixed_touched": fixed,
+        "fixed_apply_ms": round(1000 * fixed_apply, 3),
+        "ratio_touched": ratio,
+        "ratio_apply_ms": round(1000 * ratio_apply, 3),
+        "ratio_ms_per_item": round(1000 * ratio_apply / ratio, 4),
+        "qa_item_evaluations": outcome.report.qa_item_evaluations,
+        "byte_equal": byte_equal,
+    }
+
+
 def test_e20_incremental_vs_full_recompute(bench_seed):
     rows = [
         _sweep_ratio(ratio, bench_seed + index)
         for index, ratio in enumerate(DELTA_RATIOS)
     ]
+    scaling = [
+        _scale_row(items, bench_seed + index)
+        for index, items in enumerate(SCALE_ITEMS)
+    ]
+    smallest, largest = scaling[0], scaling[-1]
+    fixed_growth = largest["fixed_apply_ms"] / smallest["fixed_apply_ms"]
+    per_item_growth = (
+        largest["ratio_ms_per_item"] / smallest["ratio_ms_per_item"]
+    )
+    ratio_growth = largest["ratio_apply_ms"] / smallest["ratio_apply_ms"]
 
     all_byte_equal = all(row["byte_equal_steps"] == row["steps"] for row in rows)
     small = [row for row in rows if row["delta_ratio"] <= SMALL_DELTA]
     small_speedup = min(row["speedup"] for row in small)
     acceptance = {
-        "byte_equal_ok": all_byte_equal,
+        "byte_equal_ok": all_byte_equal
+        and all(row["byte_equal"] for row in scaling),
         "speedup_floor": SPEEDUP_FLOOR,
         "small_delta_ratio": SMALL_DELTA,
         "small_delta_min_speedup": small_speedup,
         "small_delta_speedup_ok": small_speedup >= SPEEDUP_FLOOR,
+        "scale_bound": SCALE_BOUND,
+        "scale_fixed_delta_growth": round(fixed_growth, 2),
+        "scale_per_item_growth": round(per_item_growth, 2),
+        "scale_ok": fixed_growth <= SCALE_BOUND
+        and per_item_growth <= SCALE_BOUND,
+        # "1% deltas at the largest N within SCALE_BOUND of the smallest"
+        # is reported, not asserted: the 1%-of-N delta itself grows
+        # SCALE_ITEMS[-1] / SCALE_ITEMS[0] times, and so does an apply
+        # that costs O(|delta|).
+        "scale_one_percent_growth": round(ratio_growth, 2),
+        "scale_one_percent_ok": ratio_growth <= SCALE_BOUND,
     }
     summary = {
         "experiment": "E20_streaming",
@@ -109,6 +192,7 @@ def test_e20_incremental_vs_full_recompute(bench_seed):
         "steps_per_ratio": STEPS,
         "acceptance": acceptance,
         "sweep": rows,
+        "scaling": scaling,
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_E20.json").write_text(
@@ -131,6 +215,21 @@ def test_e20_incremental_vs_full_recompute(bench_seed):
         )
     lines += [
         "",
+        f"scaling: fixed {smallest['fixed_touched']}-item deltas and "
+        f"{SCALE_RATIO:.0%} deltas, {STEPS} timed each",
+        "",
+        f"{'items':>6} {'fixed ms':>9} {'1% touched':>11} {'1% ms':>8} "
+        f"{'ms/item':>8} {'QA evals':>9} {'byte-eq':>8}",
+    ]
+    for row in scaling:
+        lines.append(
+            f"{row['items']:>6} {row['fixed_apply_ms']:>9.2f} "
+            f"{row['ratio_touched']:>11} {row['ratio_apply_ms']:>8.2f} "
+            f"{row['ratio_ms_per_item']:>8.3f} "
+            f"{row['qa_item_evaluations']:>9} {str(row['byte_equal']):>8}"
+        )
+    lines += [
+        "",
         "acceptance: " + ", ".join(
             f"{name}={value}" for name, value in acceptance.items()
         ),
@@ -141,5 +240,6 @@ def test_e20_incremental_vs_full_recompute(bench_seed):
         lines,
         seed=bench_seed,
     )
-    assert all_byte_equal, rows
+    assert acceptance["byte_equal_ok"], (rows, scaling)
     assert small_speedup >= SPEEDUP_FLOOR, rows
+    assert acceptance["scale_ok"], scaling

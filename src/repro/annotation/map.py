@@ -44,12 +44,26 @@ def _plain(value: Any) -> Any:
 
 
 class AnnotationMap:
-    """Evidence values and QA tags for an ordered set of data items."""
+    """Evidence values and QA tags for an ordered set of data items.
+
+    Copy-on-write: :meth:`copy`, :meth:`subset` and :meth:`select` share
+    the per-item entries (one evidence dict and one tag dict per item)
+    with the map they came from instead of copying them, so a copy costs
+    one reference per item.  Each map records which items' entries it
+    owns exclusively; every write (:meth:`set_evidence`,
+    :meth:`set_tag`, :meth:`merge`) first replaces a shared entry by a
+    private copy, in whichever map writes first.  Writes through one map
+    are therefore never visible through another, exactly as with deep
+    copies.  :meth:`replace_entry` installs caller-built entry dicts as
+    shared: the map never writes through them.
+    """
 
     def __init__(self, items: Iterable[URIRef] = ()) -> None:
-        self._order: List[URIRef] = []
+        # Insertion order of ``_evidence`` is the item order.
         self._evidence: Dict[URIRef, Dict[URIRef, Any]] = {}
         self._tags: Dict[URIRef, Dict[str, TagValue]] = {}
+        #: Items whose two entry dicts no other map (or caller) holds.
+        self._owned: Set[URIRef] = set()
         for item in items:
             self.add_item(item)
 
@@ -58,28 +72,51 @@ class AnnotationMap:
     def add_item(self, item: URIRef) -> None:
         """Append a data item (idempotent; preserves insertion order)."""
         if item not in self._evidence:
-            self._order.append(item)
             self._evidence[item] = {}
             self._tags[item] = {}
+            self._owned.add(item)
+
+    def _writable(self, item: URIRef) -> None:
+        """Add ``item`` if new; own its entries before a write."""
+        if item not in self._owned:
+            self._evidence[item] = dict(self._evidence.get(item, ()))
+            self._tags[item] = dict(self._tags.get(item, ()))
+            self._owned.add(item)
+
+    def replace_entry(
+        self,
+        item: URIRef,
+        evidence: Dict[URIRef, Any],
+        tags: Dict[str, TagValue],
+    ) -> None:
+        """Install an item's whole entry (appending a new item).
+
+        The dicts are shared, not copied: the map copies them before
+        its first write, so the caller may keep and share them as long
+        as it does not write to them either.
+        """
+        self._evidence[item] = evidence
+        self._tags[item] = tags
+        self._owned.discard(item)
 
     def items(self) -> List[URIRef]:
         """The data items, in insertion order."""
-        return list(self._order)
+        return list(self._evidence)
 
     def __contains__(self, item: object) -> bool:
         return item in self._evidence
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self._evidence)
 
     def __iter__(self) -> Iterator[URIRef]:
-        return iter(self._order)
+        return iter(list(self._evidence))
 
     # -- evidence ------------------------------------------------------------
 
     def set_evidence(self, item: URIRef, evidence_type: URIRef, value: Any) -> None:
         """Record an evidence value for (item, evidence type)."""
-        self.add_item(item)
+        self._writable(item)
         self._evidence[item][evidence_type] = value
 
     def get_evidence(
@@ -115,7 +152,7 @@ class AnnotationMap:
         sem_type: Optional[URIRef] = None,
     ) -> None:
         """Record a QA output tag for an item."""
-        self.add_item(item)
+        self._writable(item)
         self._tags[item][tag_name] = TagValue(value, syn_type, sem_type)
 
     def get_tag(self, item: URIRef, tag_name: str) -> Optional[TagValue]:
@@ -170,31 +207,45 @@ class AnnotationMap:
     def merge(self, other: "AnnotationMap") -> "AnnotationMap":
         """In-place union; ``other`` wins on conflicting entries."""
         for item in other.items():
-            self.add_item(item)
-            self._evidence[item].update(other._evidence.get(item, {}))
-            self._tags[item].update(other._tags.get(item, {}))
+            self._writable(item)
+            self._evidence[item].update(other._evidence[item])
+            self._tags[item].update(other._tags[item])
         return self
 
-    def subset(self, items: Iterable[URIRef]) -> "AnnotationMap":
-        """A new map restricted to ``items`` (order preserved)."""
-        wanted = set(items)
+    def _shared(self, items: Iterable[URIRef]) -> "AnnotationMap":
+        """A map sharing this map's entries of ``items``, in that order."""
         result = AnnotationMap()
-        for item in self._order:
-            if item in wanted:
-                result.add_item(item)
-                result._evidence[item].update(self._evidence[item])
-                result._tags[item].update(self._tags[item])
+        evidence, tags = self._evidence, self._tags
+        result._evidence = {item: evidence[item] for item in items}
+        result._tags = {item: tags[item] for item in result._evidence}
+        self._owned.difference_update(result._evidence)
         return result
 
+    def subset(self, items: Iterable[URIRef]) -> "AnnotationMap":
+        """A new map restricted to ``items`` (this map's order)."""
+        wanted = set(items)
+        return self._shared([item for item in self._evidence if item in wanted])
+
+    def select(self, items: Iterable[URIRef]) -> "AnnotationMap":
+        """A new map of ``items`` in the order given (each must be here).
+
+        Costs O(len(items)), where :meth:`subset` scans the whole map.
+        """
+        return self._shared(items)
+
     def copy(self) -> "AnnotationMap":
-        """An independent deep-enough copy of the map."""
-        return self.subset(self._order)
+        """An independent copy of the map (copy-on-write, see the class)."""
+        result = AnnotationMap()
+        result._evidence = dict(self._evidence)
+        result._tags = dict(self._tags)
+        self._owned = set()
+        return result
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AnnotationMap):
             return NotImplemented
         return (
-            self._order == other._order
+            list(self._evidence) == list(other._evidence)
             and self._evidence == other._evidence
             and self._tags == other._tags
         )
@@ -203,7 +254,7 @@ class AnnotationMap:
 
     def __repr__(self) -> str:
         return (
-            f"<AnnotationMap {len(self._order)} items, "
+            f"<AnnotationMap {len(self._evidence)} items, "
             f"{len(self.evidence_types())} evidence types, "
             f"{len(self.tag_names())} tags>"
         )

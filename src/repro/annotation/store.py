@@ -411,12 +411,25 @@ class AnnotationStore:
 
     def lookup_all(self, data_item: URIRef) -> Dict[URIRef, Any]:
         """Every (evidence type, value) pair known for a data item."""
-        found = _newest(_ALL_EVIDENCE_QUERY.execute(self.graph, data=data_item))
-        return {
-            evidence_type: value
-            for (_, evidence_type), value in found.items()
-            if isinstance(evidence_type, URIRef)
-        }
+        return self.lookup_all_batch([data_item])[data_item]
+
+    def lookup_all_batch(
+        self, items: Iterable[URIRef]
+    ) -> Dict[URIRef, Dict[URIRef, Any]]:
+        """:meth:`lookup_all` for many data items in a single query.
+
+        One execution of the all-evidence query with ``$data`` seeded by
+        the requested items; every requested item gets an entry (empty
+        when the store knows nothing about it).
+        """
+        wanted = list(dict.fromkeys(items))
+        result: Dict[URIRef, Dict[URIRef, Any]] = {item: {} for item in wanted}
+        if wanted:
+            found = _newest(_ALL_EVIDENCE_QUERY.execute(self.graph, data=wanted))
+            for (item, evidence_type), value in found.items():
+                if isinstance(evidence_type, URIRef) and item in result:
+                    result[item][evidence_type] = value
+        return result
 
     def lookup_batch(
         self, items: Iterable[URIRef], evidence_type: URIRef

@@ -171,7 +171,12 @@ class QualityAssertionOperator(Operator):
         """
         items = amap.items()
         vectors = [self.evidence_vector(amap, item) for item in items]
-        values = self.compute(items, vectors)
+        return self.tagged(amap, items, self.compute(items, vectors))
+
+    def tagged(
+        self, amap: AnnotationMap, items: List[URIRef], values: List[Any]
+    ) -> AnnotationMap:
+        """A copy of ``amap`` with ``values`` (one per item) as tags."""
         if len(values) != len(items):
             raise ValueError(
                 f"quality assertion {self.name!r} returned {len(values)} "

@@ -11,27 +11,190 @@ collection-level.
 
 from __future__ import annotations
 
+import abc
 import math
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
+from repro.annotation.map import AnnotationMap
 from repro.process.operators import QualityAssertionOperator
 from repro.qa.pi_score import UniversalPIScoreQA, _require_variables
 from repro.rdf import Q, URIRef
 
 
+def _binary(value: float) -> Tuple[int, int]:
+    """A finite ``value`` as ``(m, d)`` with ``value == m / 2**d`` exactly."""
+    numerator, denominator = float(value).as_integer_ratio()
+    return numerator, denominator.bit_length() - 1
+
+
+class ScoreSummary:
+    """The running ``(n, Σs, Σs²)`` of a score collection, held exactly.
+
+    Every score is a binary fraction ``m / 2**d``; the sums are kept as
+    integers over a common power-of-two scale, so :meth:`add` and
+    :meth:`remove` never round and the summary of a collection does not
+    depend on the order (or the add/remove history) that produced it.
+    The statistics are then rounded once: the mean is the correctly
+    rounded ``Σs / n``, the variance the correctly rounded
+    ``(nΣs² − (Σs)²) / n²`` and the standard deviation its
+    ``math.sqrt`` (0 for ``n <= 1``).
+
+    Non-finite scores are counted, not summed, and propagate as float
+    arithmetic would: any nan, or both infinities, makes the mean nan;
+    otherwise an infinity makes it that infinity.  The standard
+    deviation of such a collection is nan (0 for ``n <= 1``).
+    """
+
+    __slots__ = ("n", "_sum", "_squares", "_scale", "_special")
+
+    def __init__(self, values: Iterable[float] = ()) -> None:
+        self.n = 0
+        #: Σs == _sum / 2**_scale and Σs² == _squares / 2**(2 * _scale),
+        #: over the finite scores.
+        self._sum = 0
+        self._squares = 0
+        self._scale = 0
+        #: Count per non-finite score (keyed by its repr: nan, inf, -inf).
+        self._special: Dict[str, int] = {}
+        for value in values:
+            self.add(value)
+
+    def _aligned(self, value: float) -> Tuple[int, int]:
+        numerator, exponent = _binary(value)
+        if exponent > self._scale:
+            grow = exponent - self._scale
+            self._sum <<= grow
+            self._squares <<= 2 * grow
+            self._scale = exponent
+        shift = self._scale - exponent
+        return numerator << shift, (numerator * numerator) << (2 * shift)
+
+    def add(self, value: float) -> None:
+        """Fold one score into the summary."""
+        self.n += 1
+        if not math.isfinite(value):
+            key = repr(float(value))
+            self._special[key] = self._special.get(key, 0) + 1
+            return
+        term, square = self._aligned(value)
+        self._sum += term
+        self._squares += square
+
+    def remove(self, value: float) -> None:
+        """Take back one score previously added."""
+        if self.n == 0:
+            raise ValueError("cannot remove a score from an empty summary")
+        self.n -= 1
+        if not math.isfinite(value):
+            key = repr(float(value))
+            left = self._special[key] - 1
+            if left:
+                self._special[key] = left
+            else:
+                del self._special[key]
+            return
+        term, square = self._aligned(value)
+        self._sum -= term
+        self._squares -= square
+
+    def mean_and_stddev(self) -> Tuple[float, float]:
+        """Population mean and standard deviation, each rounded once."""
+        n = self.n
+        if n == 0:
+            raise ValueError("cannot compute statistics of an empty collection")
+        special = self._special
+        if special:
+            if "nan" in special or len(special) == 2:
+                mean = math.nan
+            else:
+                mean = float(next(iter(special)))
+            return mean, 0.0 if n == 1 else math.nan
+        # int / int true division is correctly rounded.
+        mean = self._sum / (n << self._scale)
+        spread = n * self._squares - self._sum * self._sum
+        variance = spread / ((n * n) << (2 * self._scale))
+        return mean, math.sqrt(variance)
+
+
 def mean_and_stddev(values: Sequence[float]) -> Tuple[float, float]:
-    """Population mean and standard deviation (stddev 0 for n <= 1)."""
-    n = len(values)
-    if n == 0:
-        raise ValueError("cannot compute statistics of an empty collection")
-    mean = sum(values) / n
-    if n == 1:
-        return mean, 0.0
-    variance = sum((v - mean) ** 2 for v in values) / n
-    return mean, math.sqrt(variance)
+    """Population mean and standard deviation (stddev 0 for n <= 1).
+
+    Exact and order-independent: see :class:`ScoreSummary`, whose
+    running form yields bit-identical results.
+    """
+    return ScoreSummary(values).mean_and_stddev()
 
 
-class PIScoreClassifierQA(QualityAssertionOperator):
+class CollectionScopedQA(QualityAssertionOperator):
+    """A QA that sees its collection only through a score summary.
+
+    The verdict splits into three parts: an item-local
+    :meth:`item_score`, the collection's :class:`ScoreSummary` of the
+    present scores, and a :meth:`label` rule over the score and the
+    :meth:`thresholds` the summary yields.  ``label`` depends only on
+    which side of each threshold a score lies, so when the thresholds
+    move, exactly the scores between an old and a new threshold can
+    change class.
+
+    :meth:`execute` accepts a precomputed ``summary`` (the invocation
+    context carries it under ``"summary"``): labels are then computed
+    against it instead of the summary of the items in the map, which is
+    how an incremental enactor relabels a subset of a larger collection.
+    """
+
+    @abc.abstractmethod
+    def item_score(self, vector: Mapping[str, Any]) -> Optional[float]:
+        """One item's score from its evidence vector (None if missing)."""
+
+    @abc.abstractmethod
+    def thresholds(self, summary: ScoreSummary) -> Optional[Tuple[float, ...]]:
+        """The ascending class thresholds a summary yields (None if empty)."""
+
+    @abc.abstractmethod
+    def label(self, score: float, thresholds: Tuple[float, ...]) -> Any:
+        """The class of a score under the given thresholds."""
+
+    def execute(
+        self, amap: AnnotationMap, summary: Optional[ScoreSummary] = None
+    ) -> AnnotationMap:
+        """Tag the map's items; against ``summary`` when one is given."""
+        items = amap.items()
+        vectors = [self.evidence_vector(amap, item) for item in items]
+        return self.tagged(amap, items, self.labels(vectors, summary))
+
+    def compute(
+        self, items: List[URIRef], vectors: List[Dict[str, Any]]
+    ) -> List[Any]:
+        """Class labels per item (None where evidence is missing)."""
+        return self.labels(vectors, None)
+
+    def labels(
+        self,
+        vectors: List[Dict[str, Any]],
+        summary: Optional[ScoreSummary],
+    ) -> List[Any]:
+        """Class labels per vector against ``summary`` (default: their own)."""
+        scores = [self.item_score(vector) for vector in vectors]
+        if summary is None:
+            summary = ScoreSummary(s for s in scores if s is not None)
+        bounds = self.thresholds(summary)
+        return [
+            None if score is None or bounds is None else self.label(score, bounds)
+            for score in scores
+        ]
+
+
+class PIScoreClassifierQA(CollectionScopedQA):
     """Three-way (low / mid / high) classification of the HR+MC score."""
 
     def __init__(
@@ -60,29 +223,25 @@ class PIScoreClassifierQA(QualityAssertionOperator):
             mc_weight=mc_weight,
         )
 
-    def compute(
-        self, items: List[URIRef], vectors: List[Dict[str, Any]]
-    ) -> List[Any]:
-        """Class labels per item (None where evidence is missing)."""
+    def item_score(self, vector: Mapping[str, Any]) -> Optional[float]:
+        """The HR+MC score of one evidence vector."""
+        return self._scorer.vector_score(vector)
 
-        scores = self._scorer.compute(items, vectors)
-        present = [s for s in scores if s is not None]
-        if not present:
-            return [None] * len(items)
-        average, stddev = mean_and_stddev(present)
-        low_threshold = average - stddev
-        high_threshold = average + stddev
-        labels: List[Any] = []
-        for score in scores:
-            if score is None:
-                labels.append(None)
-            elif score > high_threshold:
-                labels.append(Q.high)
-            elif score < low_threshold:
-                labels.append(Q.low)
-            else:
-                labels.append(Q.mid)
-        return labels
+    def thresholds(self, summary: ScoreSummary) -> Optional[Tuple[float, ...]]:
+        """``(avg - stddev, avg + stddev)`` of the present scores."""
+        if summary.n == 0:
+            return None
+        average, stddev = summary.mean_and_stddev()
+        return (average - stddev, average + stddev)
+
+    def label(self, score: float, thresholds: Tuple[float, ...]) -> Any:
+        """low below the lower band, high above the upper, else mid."""
+        low_threshold, high_threshold = thresholds
+        if score > high_threshold:
+            return Q.high
+        if score < low_threshold:
+            return Q.low
+        return Q.mid
 
 
 class ThresholdClassifierQA(QualityAssertionOperator):

@@ -67,20 +67,21 @@ class UniversalPIScoreQA(QualityAssertionOperator):
 
         return 100.0 * (self.hr_weight * hit_ratio + self.mc_weight * coverage)
 
+    def vector_score(self, vector: Mapping[str, Any]) -> Optional[float]:
+        """One evidence vector's rounded score (None if evidence is missing)."""
+
+        hit_ratio = vector.get("hitRatio")
+        coverage = vector.get("coverage")
+        if hit_ratio is None or coverage is None:
+            return None
+        return round(self.score(hit_ratio, coverage), 4)
+
     def compute(
         self, items: List[URIRef], vectors: List[Dict[str, Any]]
     ) -> List[Any]:
         """Scores per item (None where evidence is missing)."""
 
-        values: List[Any] = []
-        for vector in vectors:
-            hit_ratio = vector.get("hitRatio")
-            coverage = vector.get("coverage")
-            if hit_ratio is None or coverage is None:
-                values.append(None)
-            else:
-                values.append(round(self.score(hit_ratio, coverage), 4))
-        return values
+        return [self.vector_score(vector) for vector in vectors]
 
 
 class UniversalPIScore2QA(UniversalPIScoreQA):
@@ -122,27 +123,21 @@ class UniversalPIScore2QA(UniversalPIScoreQA):
             raise ValueError("peptides_saturation must be positive")
         self.peptides_saturation = peptides_saturation
 
-    def compute(
-        self, items: List[URIRef], vectors: List[Dict[str, Any]]
-    ) -> List[Any]:
-        """Scores per item (None where evidence is missing)."""
+    def vector_score(self, vector: Mapping[str, Any]) -> Optional[float]:
+        """One evidence vector's rounded score (None if evidence is missing)."""
 
-        values: List[Any] = []
-        for vector in vectors:
-            hit_ratio = vector.get("hitRatio")
-            coverage = vector.get("coverage")
-            peptides = vector.get("peptidesCount")
-            if hit_ratio is None or coverage is None or peptides is None:
-                values.append(None)
-                continue
-            saturated = min(1.0, float(peptides) / self.peptides_saturation)
-            score = 100.0 * (
-                self.hr_weight * hit_ratio
-                + self.mc_weight * coverage
-                + self.peptides_weight * saturated
-            )
-            values.append(round(score, 4))
-        return values
+        hit_ratio = vector.get("hitRatio")
+        coverage = vector.get("coverage")
+        peptides = vector.get("peptidesCount")
+        if hit_ratio is None or coverage is None or peptides is None:
+            return None
+        saturated = min(1.0, float(peptides) / self.peptides_saturation)
+        score = 100.0 * (
+            self.hr_weight * hit_ratio
+            + self.mc_weight * coverage
+            + self.peptides_weight * saturated
+        )
+        return round(score, 4)
 
 
 class HRScoreQA(QualityAssertionOperator):

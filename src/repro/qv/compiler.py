@@ -60,6 +60,10 @@ if TYPE_CHECKING:
 DATA_ENRICHMENT = "DataEnrichment"
 CONSOLIDATE = "ConsolidateAssertions"
 
+#: Firing input carrying a collection-scoped QA's collection summary
+#: (see :class:`AssertionProcessor`).
+COLLECTION_SUMMARY = "collectionSummary"
+
 #: Tag value marking an assertion degraded under ``default_annotation``
 #: (the item's evidence was missing / its QA service kept failing).
 DEGRADED_TAG = Q.degraded
@@ -183,6 +187,11 @@ class AssertionProcessor(Processor):
     processors never set it — a QA service invoked with an empty data
     set operates on the whole input map, which is the wire contract
     this flag must not change for them.
+
+    A firing whose inputs also carry :data:`COLLECTION_SUMMARY` (not a
+    wired port: an enactor adds it to one firing's inputs) passes that
+    summary to the service in the invocation context under
+    ``"summary"``, the way a fused processor passes ``"operators"``.
     """
 
     def __init__(
@@ -208,8 +217,12 @@ class AssertionProcessor(Processor):
         amap = inputs.get("annotationMap") or AnnotationMap()
         if not items and self.skip_on_empty:
             return {"annotationMap": amap.subset([])}
+        context = self.config
+        summary = inputs.get(COLLECTION_SUMMARY)
+        if summary is not None:
+            context = {**context, "summary": summary}
         result = self.invoke_service(
-            self.service, DataSetMessage(items), amap, context=self.config
+            self.service, DataSetMessage(items), amap, context=context
         )
         return {"annotationMap": result}
 

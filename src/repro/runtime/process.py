@@ -214,6 +214,8 @@ class _PendingJob:
         self.shards_used: Set[int] = set()
         self.cache_lookups = 0
         self.cache_hits = 0
+        #: Worker-side processors whose firing degraded on some chunk.
+        self.degraded: Set[str] = set()
         #: (proc, port) -> {item -> the chunk map that owns it}.
         self.maps: Dict[Tuple[str, str], Dict[URIRef, AnnotationMap]] = {}
         #: (proc, port) -> surviving-item set (dataSet-kind frontiers).
@@ -226,6 +228,7 @@ class _PendingJob:
         self.shards_used.clear()
         self.cache_lookups = 0
         self.cache_hits = 0
+        self.degraded.clear()
         self.maps.clear()
         self.sets.clear()
 
@@ -242,6 +245,7 @@ class _PendingJob:
                 self.sets.setdefault(key, set()).update(value)
         self.cache_lookups += int(document.get("cache_lookups", 0))
         self.cache_hits += int(document.get("cache_hits", 0))
+        self.degraded.update(document.get("degraded", ()))
         self.received += 1
 
     def merged_value(self, key: Tuple[str, str]) -> Any:
@@ -617,6 +621,10 @@ class ProcessExecutionService(RuntimeFrontEnd):
             self._handle_job_failure(job, error)
             return
         handle.metrics.record_trace(trace)
+        # A worker-side processor fires once per chunk; like the thread
+        # backend's single firing, it counts once per job if any chunk
+        # firing degraded.
+        handle.metrics.degraded_firings += len(job.degraded)
         handle.metrics.cache_lookups = job.cache_lookups + int(
             span.counter("cache.lookups")
         )
@@ -751,7 +759,7 @@ class _Chunk:
     """One chunk's state flowing through the worker stage chain."""
 
     __slots__ = ("job", "attempt", "seq", "view", "values", "stage_seconds",
-                 "cache_lookups", "cache_hits")
+                 "cache_lookups", "cache_hits", "degraded")
 
     def __init__(self, job: int, attempt: int, seq: int, view: _WorkerView,
                  items: List[URIRef]) -> None:
@@ -763,6 +771,8 @@ class _Chunk:
         self.stage_seconds: Dict[str, float] = {}
         self.cache_lookups = 0
         self.cache_hits = 0
+        #: Processors whose firing over this chunk degraded.
+        self.degraded: List[str] = []
 
 
 def _worker_main(spec, config, framework, inbox, outbox) -> None:
@@ -824,7 +834,8 @@ def _worker_main(spec, config, framework, inbox, outbox) -> None:
             )
         except Exception as exc:  # noqa: BLE001 - chunk fault boundary
             failure = exc
-        for _event in trace.degraded():
+        for event in trace.degraded():
+            chunk.degraded.append(event.processor)
             emit({
                 "kind": "stat",
                 "shard": spec.index,
@@ -868,6 +879,7 @@ def _worker_main(spec, config, framework, inbox, outbox) -> None:
             "frontier": frontier,
             "cache_lookups": chunk.cache_lookups,
             "cache_hits": chunk.cache_hits,
+            "degraded": chunk.degraded,
         })
         emit({
             "kind": "stat",

@@ -154,11 +154,19 @@ class QualityAssertionService(Service):
         operators read only evidence vectors, so the chained result
         carries exactly the tags the member-by-member invocations
         would have produced.
+
+        A ``"summary"`` context entry (a
+        :class:`~repro.qa.classifier.ScoreSummary`) makes a
+        collection-scoped operator label the data set against that
+        collection summary rather than the data set's own; an
+        incremental enactor passes it to relabel a subset of a larger
+        collection.
         """
 
         self._round_trip()
         config = dict(context or {})
         member_configs = config.pop("operators", None)
+        summary = config.pop("summary", None)
         restricted = amap.subset(dataset.items) if dataset.items else amap
         for item in dataset.items:
             restricted.add_item(item)
@@ -169,6 +177,8 @@ class QualityAssertionService(Service):
                 result = operator.execute(result)
             return result
         operator = self.build_operator(**config)
+        if summary is not None:
+            return operator.execute(restricted, summary=summary)
         return operator.execute(restricted)
 
 

@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import math
 import string
 
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,7 @@ from repro.annotation import AnnotationMap
 from repro.process.actions import DEFAULT_GROUP, FilterAction, SplitterAction
 from repro.proteomics.digest import tryptic_digest
 from repro.proteomics.masses import RESIDUE_MONO, WATER_MONO, peptide_mass
-from repro.qa.classifier import mean_and_stddev
+from repro.qa.classifier import ScoreSummary, mean_and_stddev
 from repro.rdf import Graph, Literal, Namespace, Triple, URIRef
 from repro.rdf.serializer import parse_ntriples, to_ntriples
 
@@ -133,6 +134,66 @@ def test_mean_shift_invariance(values, shift):
     mean_b, std_b = mean_and_stddev([v + shift for v in values])
     assert abs((mean_a + shift) - mean_b) < 1e-6
     assert abs(std_a - std_b) < 1e-6
+
+
+def _bits(pair):
+    return tuple(value.hex() for value in pair)
+
+
+@given(
+    st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=50),
+    st.randoms(use_true_random=False),
+)
+def test_mean_stddev_is_permutation_invariant_to_the_bit(values, rng):
+    shuffled = list(values)
+    rng.shuffle(shuffled)
+    assert _bits(mean_and_stddev(values)) == _bits(mean_and_stddev(shuffled))
+
+
+@given(
+    st.lists(st.floats(min_value=0, max_value=100), min_size=1, max_size=40),
+    st.lists(st.floats(min_value=-1e6, max_value=1e6), max_size=40),
+    st.randoms(use_true_random=False),
+)
+def test_running_summary_matches_the_batch_statistics(kept, transient, rng):
+    """Adds and removes in any interleaving reproduce the batch bits."""
+    operations = [("add", v) for v in kept] + [("add", v) for v in transient]
+    rng.shuffle(operations)
+    summary = ScoreSummary()
+    pending = list(transient)
+    for operation, value in operations:
+        summary.add(value)
+        # retract a transient value once it has been added
+        if operation == "add" and value in pending and rng.random() < 0.5:
+            pending.remove(value)
+            summary.remove(value)
+    for value in pending:
+        summary.remove(value)
+    assert summary.n == len(kept)
+    assert _bits(summary.mean_and_stddev()) == _bits(mean_and_stddev(kept))
+
+
+@given(
+    st.lists(st.floats(min_value=-1e6, max_value=1e6), max_size=20),
+    st.lists(st.sampled_from([math.nan, math.inf, -math.inf]), min_size=1, max_size=4),
+    st.randoms(use_true_random=False),
+)
+def test_non_finite_scores_propagate_like_float_arithmetic(finite, special, rng):
+    """nan/inf reach the statistics as a float sum would carry them,
+    and taking them back restores the finite collection's bits."""
+    values = finite + special
+    rng.shuffle(values)
+    mean, std = mean_and_stddev(values)
+    naive = math.fsum(finite) + sum(special)
+    assert (math.isnan(mean) and math.isnan(naive)) or mean == naive
+    assert std == 0.0 if len(values) == 1 else math.isnan(std)
+    summary = ScoreSummary(values)
+    for value in special:
+        summary.remove(value)
+    if finite:
+        assert _bits(summary.mean_and_stddev()) == _bits(mean_and_stddev(finite))
+    else:
+        assert summary.n == 0
 
 
 # -- action invariants ----------------------------------------------------------------

@@ -288,6 +288,42 @@ class TestFaultInjectionDifferential:
     def test_faults_fast(self, seed):
         self._run(seed)
 
+    def test_degraded_firings_count_like_the_thread_backend(self):
+        """A worker-side degraded firing counts once per job.
+
+        HRScore always fails under ``on_failure="skip"``: the thread
+        backend records one degraded firing per job; the process backend
+        fires HRScore once per chunk on the workers and must report the
+        same count in the job metrics and the runtime snapshot.
+        """
+        from repro.resilience import FaultInjector, ResilienceConfig
+
+        counts = {}
+        for backend, sizing in (
+            ("thread", {"workers": 1}),
+            ("process", {"shards": 2, "chunk_size": 4}),
+        ):
+            framework, results = small_world(5)
+            FaultInjector(seed=1).plan("HRScore", fault_rate=1.0).attach_registry(
+                framework.services
+            )
+            resilience = ResilienceConfig(
+                max_attempts=1, on_failure="skip", breaker_threshold=0
+            )
+            view = framework.quality_view(example_quality_view_xml())
+            with framework.runtime(
+                backend=backend, resilience=resilience, **sizing
+            ) as service:
+                handle = service.submit(view, results.items(), clear_cache=True)
+                outcome = handle.result(60)
+                snapshot = service.snapshot()
+            amap = outcome.annotation_map
+            assert all(amap.get_tag(item, "HR") is None for item in amap)
+            counts[backend] = (
+                handle.metrics.degraded_firings, snapshot.degraded_firings
+            )
+        assert counts["process"] == counts["thread"] == (1, 1)
+
     @pytest.mark.slow
     @pytest.mark.parametrize("seed", range(10))
     def test_faults_full(self, seed):

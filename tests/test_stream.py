@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import random
 
 import pytest
@@ -442,21 +443,48 @@ class TestIncrementalDifferential:
             assert report.memo_misses <= total + 2 * touched
 
     def test_update_costs_stay_proportional_to_the_delta(self):
-        """At a 10% delta ratio the memo absorbs ~90% of QA verdicts."""
+        """At a 10% delta ratio QA work is the dirty plus crossing items.
+
+        Every QA re-evaluates the 4 re-drawn items; the collection-scoped
+        classifier additionally relabels exactly the untouched items
+        whose scores lie between an old and a new band threshold, which
+        covers every untouched item whose class actually moved.
+        """
         scenario, enactor = make_enactor()
         records = synthetic_records(items=40, steps=6, delta_ratio=0.1, seed=9)
         bootstrap = enactor.apply(records[0].delta)
         assert bootstrap.report.new_items == 40
         assert bootstrap.report.memo_hits == 0
+        before = bootstrap.result
         for record in records[1:]:
-            report = enactor.apply(record.delta).report
+            outcome = enactor.apply(record.delta)
+            report = outcome.report
             assert report.items_total == 40
             assert report.reannotated_items == 4
-            # two item-local QAs reuse 36 verdicts each; only the
-            # collection-scoped classifier pays full price
-            assert report.memo_hits == 2 * 36
-            assert report.memo_misses == 40 + 2 * 4
-            assert report.qa_item_evaluations == 48  # vs 120 for batch
+            assert report.memo_hits + report.memo_misses == N_ASSERTIONS * 40
+            assert report.memo_misses == N_ASSERTIONS * 4 + report.crossing_items
+            assert report.qa_item_evaluations == report.memo_misses
+            touched = set(record.delta.touched_items())
+            moved = [
+                item for item in enactor.items
+                if item not in touched
+                and before.tag_of(item, "ScoreClass")
+                != outcome.result.tag_of(item, "ScoreClass")
+            ]
+            assert len(moved) <= report.crossing_items < 40 - 4
+            before = outcome.result
+
+    def test_a_one_percent_delta_evaluates_under_200_items_at_2000(self):
+        """At 2,000 items a 1% delta costs O(delta), not O(collection)."""
+        scenario, enactor = make_enactor()
+        records = synthetic_records(
+            items=2000, steps=4, delta_ratio=0.01, seed=3
+        )
+        enactor.apply(records[0].delta)
+        for record in records[1:]:
+            report = enactor.apply(record.delta).report
+            assert report.reannotated_items == 20
+            assert report.qa_item_evaluations < 200
 
     def test_retractions_and_unknown_items_match_the_oracle(self):
         scenario, enactor = make_enactor()
@@ -627,6 +655,275 @@ class TestIncrementalDifferential:
         assert result_bytes(outcome.result) == result_bytes(
             enactor.full_recompute()
         )
+
+
+def bootstrap_enactor(n_items=30, seed=17, xml=None):
+    """An enactor over ``n_items`` random rows (optionally another view)."""
+    scenario = build_stream_scenario()
+    view = scenario.view if xml is None else scenario.framework.quality_view(xml)
+    enactor = IncrementalEnactor(view, feed=scenario.table)
+    rng = random.Random(seed)
+    rows = {stream_item(i): random_row(rng) for i in range(n_items)}
+    check_step(enactor, Delta(upserts=rows))
+    return scenario, enactor
+
+
+def check_step(enactor, delta):
+    """Apply one delta; it must serialize byte-equal to the oracle."""
+    outcome = enactor.apply(delta)
+    assert result_bytes(outcome.result) == result_bytes(
+        enactor.full_recompute()
+    ), delta.to_document()
+    return outcome
+
+
+def classes(result):
+    return {item: result.tag_of(item, "ScoreClass") for item in result.items}
+
+
+SPLITTER_ACTION = """
+  <action name="triage">
+    <splitter>
+      <group name="strong"><condition>ScoreClass in q:high</condition></group>
+      <group name="fair"><condition>HR &gt; 40</condition></group>
+    </splitter>
+  </action>
+</QualityView>"""
+
+
+class TestIncrementalRelabelling:
+    """Seeded cases for the bisected relabel and the patched routing."""
+
+    def test_an_upsert_moves_an_item_across_both_bands(self):
+        scenario, enactor = bootstrap_enactor()
+        item = stream_item(3)
+        high = {Q.Coverage: 0.95, Q.HitRatio: 0.99}
+        low = {Q.Coverage: 0.01, Q.HitRatio: 0.02}
+        outcome = check_step(enactor, Delta(upserts={item: high}))
+        assert outcome.result.tag_of(item, "ScoreClass") == Q.high
+        outcome = check_step(enactor, Delta(upserts={item: low}))
+        assert outcome.result.tag_of(item, "ScoreClass") == Q.low
+
+    def test_a_threshold_shift_relabels_untouched_items(self):
+        scenario, enactor = bootstrap_enactor()
+        before = classes(enactor.apply(Delta()).result)
+        # five items jump to the top: avg + stddev moves up past
+        # several untouched items, which must drop from high to mid
+        jump = {
+            stream_item(i): {Q.Coverage: 0.99, Q.HitRatio: 0.99}
+            for i in range(5)
+        }
+        outcome = check_step(enactor, Delta(upserts=jump))
+        after = classes(outcome.result)
+        moved = [
+            item for item in before
+            if item not in jump and before[item] != after[item]
+        ]
+        assert moved
+        assert len(moved) <= outcome.report.crossing_items
+        assert outcome.report.crossing_items < len(before) - len(jump)
+
+    def test_scores_becoming_none_and_coming_back(self):
+        scenario, enactor = bootstrap_enactor()
+        item = stream_item(7)
+        outcome = check_step(
+            enactor, Delta(retractions=[(item, Q.HitRatio)])
+        )
+        assert outcome.result.tag_of(item, "ScoreClass") is None
+        outcome = check_step(
+            enactor, Delta(upserts={item: {Q.HitRatio: 0.5}})
+        )
+        assert outcome.result.tag_of(item, "ScoreClass") is not None
+        # every score gone, then one back: thresholds appear from none
+        everything = [(stream_item(i), Q.Coverage) for i in range(30)]
+        outcome = check_step(enactor, Delta(retractions=everything))
+        assert not any(classes(outcome.result).values())
+        outcome = check_step(
+            enactor, Delta(upserts={item: {Q.Coverage: 0.4}})
+        )
+        assert classes(outcome.result)[item] == Q.mid
+
+    def test_whole_row_retractions_and_reupserts(self):
+        scenario, enactor = bootstrap_enactor()
+        rows = [stream_item(i) for i in (0, 4, 9, 29)]
+        outcome = check_step(
+            enactor, Delta(retractions=[(item, None) for item in rows])
+        )
+        for item in rows:
+            assert outcome.result.annotation_map.evidence_for(item) == {}
+        rng = random.Random(23)
+        check_step(
+            enactor, Delta(upserts={item: random_row(rng) for item in rows})
+        )
+
+    @pytest.mark.parametrize("threshold_first", [True, False])
+    def test_threshold_and_upsert_sequences(self, threshold_first):
+        scenario, enactor = bootstrap_enactor()
+        rng = random.Random(29)
+        upsert = Delta(
+            upserts={stream_item(i): random_row(rng) for i in (2, 5, 11)}
+        )
+        threshold = Delta(thresholds={FILTER_ACTION: "HR > 40"})
+        steps = [threshold, upsert] if threshold_first else [upsert, threshold]
+        for delta in steps + [Delta(thresholds={FILTER_ACTION: "ScoreClass in q:low"})]:
+            outcome = check_step(enactor, delta)
+            assert outcome.report.actions_rebuilt == list(delta.thresholds)
+        # both at once
+        check_step(
+            enactor,
+            Delta(
+                upserts={stream_item(1): random_row(rng)},
+                thresholds={FILTER_ACTION: "HR > 10"},
+            ),
+        )
+
+    def test_a_splitter_routes_only_changed_items(self, monkeypatch):
+        from repro.core.ispider import example_quality_view_xml
+        from repro.process.actions import SplitterAction
+
+        xml = example_quality_view_xml().replace(
+            "</QualityView>", SPLITTER_ACTION
+        )
+        scenario, enactor = bootstrap_enactor(n_items=40, xml=xml)
+        routed = []
+        execute = SplitterAction.execute
+
+        def counting(self, items, amap, variable_bindings=None):
+            routed.append(len(items))
+            return execute(self, items, amap, variable_bindings)
+
+        monkeypatch.setattr(SplitterAction, "execute", counting)
+        rng = random.Random(31)
+        for step in range(6):
+            routed.clear()
+            chosen = rng.sample(range(40), 3)
+            delta = Delta(
+                upserts={stream_item(i): random_row(rng) for i in chosen},
+                retractions=[(stream_item((step * 7) % 40), Q.HitRatio)],
+            )
+            outcome = enactor.apply(delta)
+            assert routed and max(routed) <= (
+                len(delta.touched_items()) + outcome.report.crossing_items
+            )
+            assert result_bytes(outcome.result) == result_bytes(
+                enactor.full_recompute()
+            )
+            groups = outcome.result.groups["triage"]
+            assert set(groups) == {"strong", "fair", "default"}
+
+    @pytest.mark.parametrize("failing", ["HRScore", "PIScoreClassifier"])
+    def test_an_apply_that_raises_is_repaired_by_the_next(self, failing):
+        """A failed apply's items are re-derived in full by the next one."""
+        from repro.workflow.enactor import EnactmentError
+
+        class Once:
+            armed = True
+
+            def on_invocation(self, service):
+                if self.armed:
+                    self.armed = False
+                    raise RuntimeError("injected")
+
+        scenario, enactor = bootstrap_enactor()
+        service = scenario.framework.services.by_name(failing)
+        service.fault_injector = Once()
+        rng = random.Random(37)
+        jump = {stream_item(i): random_row(rng) for i in (1, 2, 3)}
+        jump[stream_item(30)] = random_row(rng)
+        with pytest.raises(EnactmentError):
+            enactor.apply(
+                Delta(upserts=jump, thresholds={FILTER_ACTION: "HR > 30"})
+            )
+        check_step(enactor, Delta())
+        check_step(enactor, Delta(upserts={stream_item(4): random_row(rng)}))
+
+    def test_a_failing_classifier_takes_the_full_refire(self):
+        """Under ``skip`` a degraded relabel falls back to a full firing.
+
+        While the classifier keeps failing, every firing covers the
+        whole collection (a partial degraded firing is no verdict); once
+        it recovers, the first firing is a full one and the results
+        match the oracle again.
+        """
+        from repro.resilience import (
+            FaultInjector,
+            ResilienceConfig,
+            ResilientInvoker,
+        )
+
+        scenario = build_stream_scenario()
+        scenario.view.with_resilience(
+            ResilientInvoker(
+                ResilienceConfig(
+                    max_attempts=1, on_failure="skip", breaker_threshold=0
+                )
+            )
+        )
+        classifier = scenario.framework.services.by_name("PIScoreClassifier")
+        FaultInjector(seed=1).plan(
+            "PIScoreClassifier", fault_rate=1.0
+        ).attach_registry(scenario.framework.services)
+        enactor = IncrementalEnactor(scenario.view, feed=scenario.table)
+        records = synthetic_records(items=20, steps=6, delta_ratio=0.1, seed=4)
+        for index, record in enumerate(records):
+            if index == 4:
+                classifier.fault_injector = None  # the service recovers
+            outcome = check_step(enactor, record.delta)
+            scored = classes(outcome.result)
+            if index < 4:
+                assert not any(scored.values())
+                if index:
+                    # two item-local QAs over the 2 dirty items, the
+                    # classifier over all 20
+                    assert outcome.report.qa_item_evaluations == 2 * 2 + 20
+            else:
+                assert all(scored.values())
+        assert outcome.report.qa_item_evaluations < 2 * 2 + 20
+
+    @pytest.mark.parametrize("policy", [None, "skip"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, "n/a"])
+    def test_an_unusable_score_is_labelled_as_the_batch_path_does(
+        self, policy, bad
+    ):
+        """A non-finite or non-numeric hitRatio, then a good one.
+
+        A nan or infinite score makes the bands nan (every scored item
+        ``mid``); a value that cannot be scored makes the classifier's
+        firing fail under the view's policy.  Either way every step
+        matches the oracle, and the next delta applies.
+        """
+        from repro.resilience import ResilienceConfig, ResilientInvoker
+        from repro.workflow.enactor import EnactmentError
+
+        scenario, enactor = bootstrap_enactor()
+        if policy is not None:
+            scenario.view.with_resilience(
+                ResilientInvoker(
+                    ResilienceConfig(
+                        max_attempts=1, on_failure=policy, breaker_threshold=0
+                    )
+                )
+            )
+        item = stream_item(6)
+        bad_delta = Delta(upserts={item: {Q.HitRatio: bad}})
+        if isinstance(bad, str) and policy is None:
+            with pytest.raises(EnactmentError):
+                enactor.apply(bad_delta)
+            with pytest.raises(EnactmentError):
+                enactor.full_recompute()
+        else:
+            outcome = check_step(enactor, bad_delta)
+            labels = classes(outcome.result)
+            if isinstance(bad, float):
+                assert set(labels.values()) == {Q.mid}
+            else:
+                assert not any(labels.values())
+        rng = random.Random(41)
+        outcome = check_step(
+            enactor, Delta(upserts={item: {Q.HitRatio: 0.5}})
+        )
+        assert {Q.low, Q.high} <= set(classes(outcome.result).values())
+        check_step(enactor, Delta(upserts={stream_item(8): random_row(rng)}))
 
 
 # -- the engine: windows, drift, resume --------------------------------------

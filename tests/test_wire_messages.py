@@ -45,7 +45,7 @@ class TestMessageRoundTrip:
         {"kind": "ready", "shard": 3},
         {"kind": "part", "shard": 0, "job": 7, "attempt": 1, "seq": 0,
          "frontier": [["p", "annotationMap", {"kind": "null"}]],
-         "cache_lookups": 4, "cache_hits": 2},
+         "cache_lookups": 4, "cache_hits": 2, "degraded": ["HR score"]},
         {"kind": "stat", "shard": 0, "job": 7, "seq": 0, "items": 8,
          "status": "completed", "stage_seconds": {"annotate": 0.25},
          "cache_lookups": 4, "cache_hits": 2},
